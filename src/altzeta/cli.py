@@ -21,9 +21,9 @@ import sys
 from math import floor
 
 from .decay import defect_ladder, fit_decay, strip_sweep
-from .identities import defect, integral_closed_form, residual_suite
-from .partial_sums import eta_partial, zeta_partial
-from .zeros import MIN_TARGET_TOL, ToleranceNotReached, eta_reference, zero_check, zero_point
+from .identities import _residual_ladder, defect, integral_closed_form
+from .partial_sums import _prefix_sums
+from .zeros import MIN_TARGET_TOL, ToleranceNotReached, _zero_ladder, eta_reference, zero_point
 
 DEFAULT_RESIDUAL_TOL = 1e-12
 DEFAULT_ZERO_TOL = 1e-10
@@ -51,8 +51,7 @@ def _cmd_eval(args) -> tuple[list[str], list[str], list[list[str]], bool]:
     comments = [f"# altzeta eval: sigma={_fmt(args.sigma)} t={_fmt(args.t)} n={args.n}"]
     header = ["n", "zeta_re", "zeta_im", "eta_re", "eta_im",
               "defect_re", "defect_im", "integral_re", "integral_im"]
-    z = zeta_partial(args.n, s).value
-    e = eta_partial(args.n, s).value
+    z, e, _ = (r.value for r in _prefix_sums(s, [args.n])[0])
     d = defect(args.n, s)
     i = integral_closed_form(s)
     row = [str(args.n)] + [_fmt(v) for v in
@@ -71,8 +70,8 @@ def _cmd_residuals(args) -> tuple[list[str], list[str], list[list[str]], bool]:
               "quad_diff", "quad_scale", "eta_re", "eta_im"]
     rows = []
     ok = True
-    for n in _doubling_ladder(1, args.n_max):
-        cancel, band, quad = residual_suite(n, s)
+    ladder = _doubling_ladder(1, args.n_max)
+    for n, (cancel, band, quad) in zip(ladder, _residual_ladder(ladder, s)):
         for r in (cancel, band, quad):
             if r.abs_diff > tol * max(r.scale, 1.0):
                 ok = False
@@ -96,8 +95,8 @@ def _cmd_zeros(args) -> tuple[list[str], list[str], list[list[str]], bool]:
     header = ["stage", "n", "eta_abs", "identity_diff", "defect_abs"]
     rows = []
     magnitudes = []
-    for n in _doubling_ladder(DEFAULT_LADDER_START, args.n_max):
-        check = zero_check(args.k, n)
+    ladder = _doubling_ladder(DEFAULT_LADDER_START, args.n_max)
+    for n, check in zip(ladder, _zero_ladder(point, ladder)):
         d_abs = abs(check.predicted)  # |n**(-it)| = 1, so this is |defect|
         magnitudes.append(check.magnitude)
         rows.append(["ladder", str(n), _fmt(check.magnitude),

@@ -23,9 +23,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import cos, exp, expm1, fabs, log, log1p, sin
+from typing import Sequence
 
 from .kernel import MACHINE_EPSILON, SumResult, _Accumulator, _exp_neg_parts, _require_finite
-from .partial_sums import band_sum, eta_partial, zeta_partial, _check_request
+from .partial_sums import _check_request, _prefix_sums
 
 _LN2 = log(2.0)
 
@@ -81,13 +82,13 @@ def integral_closed_form(s: complex) -> complex:
     return _integral_direct(s)
 
 
-def riemann_sum(n: int, s: complex, *, max_terms: int | None = None) -> SumResult:
+def riemann_sum(n: int, s: complex) -> SumResult:
     """Right-endpoint Riemann sum of (1+x)**(-s): (1/n) sum_{k=1}^n (1+k/n)**(-s).
 
     Node logarithms use log1p(k/n), ascending k; the division by n happens
     once at the end and is folded into the error bound.
     """
-    _check_request(n, n, max_terms)
+    _check_request(n)
     s = _require_finite(s)
     sigma, t = s.real, s.imag
     acc = _Accumulator()
@@ -99,9 +100,9 @@ def riemann_sum(n: int, s: complex, *, max_terms: int | None = None) -> SumResul
     return SumResult(value, bound, n, raw.abs_sum / n)
 
 
-def defect(n: int, s: complex, *, max_terms: int | None = None) -> complex:
+def defect(n: int, s: complex) -> complex:
     """Quadrature defect: closed-form integral minus the n-node Riemann sum."""
-    return integral_closed_form(s) - riemann_sum(n, s, max_terms=max_terms).value
+    return integral_closed_form(s) - riemann_sum(n, s).value
 
 
 @dataclass(frozen=True)
@@ -118,77 +119,60 @@ class Residual:
     scale: float
 
 
-def _two_pow_one_minus(s: complex) -> complex:
-    # 2**(1-s) = exp(-(s-1) log 2), evaluated through the shared kernel.
-    re, im, _ = _exp_neg_parts(s.real - 1.0, s.imag, _LN2)
+def _pow_one_minus(x: int, s: complex) -> complex:
+    # x**(1-s) = exp(-(s-1) log x) through the shared kernel.  (2n)**(1-s) from
+    # log(2n) is a different path from 2**(1-s) * n**(1-s), so the quadrature
+    # check is not the band form in disguise.
+    re, im, _ = _exp_neg_parts(s.real - 1.0, s.imag, log(x))
     return complex(re, im)
 
 
-def _cancellation_from(eta2n: SumResult, zeta2n: SumResult, half: SumResult, c: complex) -> Residual:
-    lhs = eta2n.value - zeta2n.value
-    rhs = -(c * half.value)
-    scale = eta2n.abs_sum + zeta2n.abs_sum + abs(c) * half.abs_sum
-    return Residual(lhs, rhs, abs(lhs - rhs), scale)
+def _residual_ladder(ladder: Sequence[int], s: complex) -> list[tuple[Residual, Residual, Residual]]:
+    """The three residuals at each rung n of a doubling ladder (each entry twice the last).
 
-
-def _band_from(eta2n: SumResult, zeta2n: SumResult, band: SumResult, c: complex) -> Residual:
-    lhs = eta2n.value
-    rhs = (1.0 - c) * zeta2n.value + c * band.value
-    scale = eta2n.abs_sum + abs(1.0 - c) * zeta2n.abs_sum + abs(c) * band.abs_sum
-    return Residual(lhs, rhs, abs(lhs - rhs), scale)
-
-
-def _quadrature_from(n: int, s: complex, eta2n: SumResult, zeta2n: SumResult, c: complex) -> Residual:
+    One pass with stops ladder | 2*ladder serves every rung: zeta_n, zeta_2n
+    and eta_2n are prefix snapshots, and band_n is the block stream between
+    the consecutive stops n and 2n.  The sides stay independent: zeta_2n is
+    never formed as zeta_n + band_n, and the Riemann sum keeps its own loop.
+    """
+    s = _require_finite(s)
+    stops = sorted(set(ladder) | {2 * n for n in ladder})
+    snap = dict(zip(stops, _prefix_sums(s, stops)))
+    c = _pow_one_minus(2, s)
     integral = integral_closed_form(s)
-    dn = defect(n, s)
-    # (2n)**(1-s) computed from log(2n) directly, a different path from
-    # 2**(1-s) * n**(1-s), so this check is not the band form in disguise.
-    re, im, _ = _exp_neg_parts(s.real - 1.0, s.imag, log(2 * n))
-    w = complex(re, im)
-    lhs = eta2n.value
-    rhs = (1.0 - c) * zeta2n.value + w * (integral - dn)
-    scale = eta2n.abs_sum + abs(1.0 - c) * zeta2n.abs_sum + abs(w) * (abs(integral) + abs(dn))
-    return Residual(lhs, rhs, abs(lhs - rhs), scale)
+    out = []
+    for n in ladder:
+        half = snap[n][0]
+        zeta2n, eta2n, band = snap[2 * n]
+        dn = defect(n, s)
+        w = _pow_one_minus(2 * n, s)
+        sides = (  # (lhs, rhs, scale) of cancellation, band and quadrature
+            (eta2n.value - zeta2n.value, -(c * half.value),
+             eta2n.abs_sum + zeta2n.abs_sum + abs(c) * half.abs_sum),
+            (eta2n.value, (1.0 - c) * zeta2n.value + c * band.value,
+             eta2n.abs_sum + abs(1.0 - c) * zeta2n.abs_sum + abs(c) * band.abs_sum),
+            (eta2n.value, (1.0 - c) * zeta2n.value + w * (integral - dn),
+             eta2n.abs_sum + abs(1.0 - c) * zeta2n.abs_sum + abs(w) * (abs(integral) + abs(dn))),
+        )
+        out.append(tuple(Residual(lhs, rhs, abs(lhs - rhs), scale) for lhs, rhs, scale in sides))
+    return out
+
+
+def residual_suite(n: int, s: complex) -> tuple[Residual, Residual, Residual]:
+    """The cancellation, band and quadrature residuals at n, from one pass to 2n."""
+    return _residual_ladder([n], s)[0]
 
 
 def residual_cancellation(n: int, s: complex) -> Residual:
     """Check eta_{2n} - zeta_{2n} = -2**(1-s) zeta_n (odd-index cancellation)."""
-    s = _require_finite(s)
-    return _cancellation_from(
-        eta_partial(2 * n, s), zeta_partial(2 * n, s), zeta_partial(n, s), _two_pow_one_minus(s)
-    )
+    return residual_suite(n, s)[0]
 
 
 def residual_band(n: int, s: complex) -> Residual:
     """Check eta_{2n} = (1 - 2**(1-s)) zeta_{2n} + 2**(1-s) * band_n."""
-    s = _require_finite(s)
-    return _band_from(
-        eta_partial(2 * n, s), zeta_partial(2 * n, s), band_sum(n, s), _two_pow_one_minus(s)
-    )
+    return residual_suite(n, s)[1]
 
 
 def residual_quadrature(n: int, s: complex) -> Residual:
     """Check eta_{2n} = (1 - 2**(1-s)) zeta_{2n} + (2n)**(1-s) (integral - defect)."""
-    s = _require_finite(s)
-    return _quadrature_from(
-        n, s, eta_partial(2 * n, s), zeta_partial(2 * n, s), _two_pow_one_minus(s)
-    )
-
-
-def residual_suite(n: int, s: complex) -> tuple[Residual, Residual, Residual]:
-    """All three residuals sharing one set of partial sums.
-
-    Bit-identical to calling the three residual functions separately; the
-    shared evaluation just avoids re-summing when sweeping grids.
-    """
-    s = _require_finite(s)
-    eta2n = eta_partial(2 * n, s)
-    zeta2n = zeta_partial(2 * n, s)
-    half = zeta_partial(n, s)
-    band = band_sum(n, s)
-    c = _two_pow_one_minus(s)
-    return (
-        _cancellation_from(eta2n, zeta2n, half, c),
-        _band_from(eta2n, zeta2n, band, c),
-        _quadrature_from(n, s, eta2n, zeta2n, c),
-    )
+    return residual_suite(n, s)[2]

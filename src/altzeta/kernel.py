@@ -108,10 +108,14 @@ class _Accumulator:
         self.n += 1
 
     def result(self) -> SumResult:
-        bound = (2.0 * MACHINE_EPSILON + self.n * MACHINE_EPSILON * MACHINE_EPSILON) * (
-            self.abs_re + self.abs_im
-        )
-        return SumResult(complex(self.s_re, self.s_im), bound, self.n, self.abs_sum)
+        value = complex(self.s_re, self.s_im)
+        return _kahan_result(value, self.n, self.abs_re, self.abs_im, self.abs_sum)
+
+
+def _kahan_result(value: complex, n: int, abs_re: float, abs_im: float, abs_sum: float) -> SumResult:
+    # SumResult of an n-term compensated sum, with the bound stated on _Accumulator.
+    bound = (2.0 * MACHINE_EPSILON + n * MACHINE_EPSILON * MACHINE_EPSILON) * (abs_re + abs_im)
+    return SumResult(value, bound, n, abs_sum)
 
 
 def sum_fixed_order(terms: Iterable[complex]) -> SumResult:

@@ -15,14 +15,13 @@ an Euler-transform accelerator and a Richardson extrapolator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import fabs, fsum, log, pi
+from math import fabs, fsum, pi
 from typing import Sequence
 
-from .identities import _two_pow_one_minus, defect, integral_closed_form
-from .kernel import _exp_neg_parts, _require_finite, pow_neg
-from .partial_sums import eta_partial, zeta_partial
-
-_LN2 = log(2.0)
+from .decay import _validated_ladder
+from .identities import _LN2, _residual_ladder, defect, residual_quadrature
+from .kernel import _require_finite, pow_neg
+from .partial_sums import _prefix_sums
 
 #: Zero indices exposed by default; |t| grows linearly in k and large |t|
 #: needs finer exp/log error analysis than desk scale warrants.
@@ -75,51 +74,38 @@ def zero_point(k: int, *, k_limit: int = DEFAULT_K_LIMIT) -> ZeroPoint:
     return ZeroPoint(k, complex(1.0, t))
 
 
+def _eta_ladder(s: complex, ladder: Sequence[int]) -> list[complex]:
+    # eta_{2n}(s) for each ladder entry n (increasing), from one ascending pass.
+    return [eta.value for _, eta, _ in _prefix_sums(s, [2 * n for n in ladder])]
+
+
+def _zero_ladder(point: ZeroPoint, ladder: Sequence[int]) -> list[ZeroCheck]:
+    # The collapsed identity at each entry of an increasing n-ladder.
+    s = point.s
+    checks = []
+    for n, eta_value in zip(ladder, _eta_ladder(s, ladder)):
+        rotation = pow_neg(n, complex(0.0, s.imag))  # n**(-it), unit modulus
+        predicted = -(rotation * defect(n, s))
+        checks.append(ZeroCheck(point, n, eta_value, predicted,
+                                abs(eta_value - predicted), abs(eta_value)))
+    return checks
+
+
 def zero_check(k: int, n: int, *, k_limit: int = DEFAULT_K_LIMIT) -> ZeroCheck:
     """Evaluate both sides of eta_{2n}(s_k) = -(n**(-it)) defect_n(s_k)."""
-    point = zero_point(k, k_limit=k_limit)
-    if n < 1:
-        raise ValueError(f"N must be a positive integer, got {n}")
-    s = point.s
-    eta_value = eta_partial(2 * n, s).value
-    rotation = pow_neg(n, complex(0.0, s.imag))  # n**(-it), unit modulus
-    predicted = -(rotation * defect(n, s))
-    return ZeroCheck(
-        point=point,
-        n=n,
-        eta_value=eta_value,
-        predicted=predicted,
-        identity_diff=abs(eta_value - predicted),
-        magnitude=abs(eta_value),
-    )
-
-
-def _validated_ladder(n_ladder: Sequence[int]) -> list[int]:
-    ladder = [int(n) for n in n_ladder]
-    if len(ladder) < 3:
-        raise ValueError(f"ladder too short: need at least 3 entries, got {len(ladder)}")
-    if ladder[0] < 1:
-        raise ValueError(f"ladder entries must be positive, got {ladder[0]}")
-    for a, b in zip(ladder, ladder[1:]):
-        if b <= a:
-            raise ValueError(f"ladder must be strictly increasing, got {a} then {b}")
-    return ladder
+    return _zero_ladder(zero_point(k, k_limit=k_limit), [n])[0]
 
 
 def eta_limit_demo(k: int, n_ladder: Sequence[int]) -> list[tuple[int, float]]:
-    """Convergence magnitudes along an n-ladder.
+    """Distances |eta_{2n}(s) - eta(s)| along an n-ladder at s = s_k.
 
-    For nonzero k: |eta_{2n}(s_k)| per ladder entry, heading to zero.  The
-    sentinel k = 0 routes to the companion limit at s = 1 and emits
-    |eta_{2n}(1) - log 2| instead (both demos are the same identity
-    specialization, so they share one entry point).
+    k = 0 is the point s = 1, where the limit is log 2; every nonzero k is a
+    zero point s_k (validated by ``zero_point``), where the limit is 0.  Both
+    limits are the same specialization of the quadrature identity.
     """
     ladder = _validated_ladder(n_ladder)
-    if k == 0:
-        s = complex(1.0, 0.0)
-        return [(n, abs(eta_partial(2 * n, s).value - _LN2)) for n in ladder]
-    s = zero_point(k).s
-    return [(n, abs(eta_partial(2 * n, s).value)) for n in ladder]
+    s, limit = (complex(1.0, 0.0), _LN2) if k == 0 else (zero_point(k).s, 0.0)
+    return [(n, abs(eta - limit)) for n, eta in zip(ladder, _eta_ladder(s, ladder))]
 
 
 # ---------------------------------------------------------------------------
@@ -212,12 +198,7 @@ def eta_reconstructed(n: int, s: complex) -> complex:
     Exercises the closed-form integral, the defect, and the independently
     evaluated (2n)**(1-s) factor instead of direct alternating summation.
     """
-    s = _require_finite(s)
-    c = _two_pow_one_minus(s)
-    re, im, _ = _exp_neg_parts(s.real - 1.0, s.imag, log(2 * n))
-    w = complex(re, im)
-    z2 = zeta_partial(2 * n, s).value
-    return (1.0 - c) * z2 + w * (integral_closed_form(s) - defect(n, s))
+    return residual_quadrature(n, s).rhs
 
 
 def eta_richardson(
@@ -242,10 +223,11 @@ def eta_richardson(
         raise ValueError(f"need Re(s) > 0 for the alternating series, got {s!r}")
     if start < 1 or levels < 1:
         raise ValueError("start and levels must be positive")
+    ladder = [start * (1 << i) for i in range(levels + 1)]
     if via_identity:
-        values = [eta_reconstructed(start * (1 << i), s) for i in range(levels + 1)]
+        values = [quad.rhs for _, _, quad in _residual_ladder(ladder, s)]
     else:
-        values = [eta_partial(2 * start * (1 << i), s).value for i in range(levels + 1)]
+        values = _eta_ladder(s, ladder)
     for j in range(levels):
         r = pow_neg(2, s + j)  # 2**-(s+j)
         values = [(values[i + 1] - r * values[i]) / (1.0 - r) for i in range(len(values) - 1)]

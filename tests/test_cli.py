@@ -178,3 +178,29 @@ class TestOutput:
         assert main(argv + ["--out", str(a)]) == 0
         assert main(argv + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestOnePass:
+    """Each command reads its partial sums from one ascending pass: one
+    kernel evaluation per term up to the largest index it needs."""
+
+    @pytest.mark.parametrize("argv, calls", [
+        (["residuals", "--sigma", "0.5", "--t", "3", "--n-max", "64"], 128),
+        (["eval", "--sigma", "0.5", "--t", "3", "--n", "100"], 100),
+        (["zeros", "--k", "1", "--n-max", "64"], 128),
+    ])
+    def test_kernel_calls(self, capsys, monkeypatch, argv, calls):
+        from altzeta import partial_sums
+
+        count = 0
+        kernel = partial_sums._exp_neg_parts
+
+        def counting(*args):
+            nonlocal count
+            count += 1
+            return kernel(*args)
+
+        monkeypatch.setattr(partial_sums, "_exp_neg_parts", counting)
+        main(argv)
+        capsys.readouterr()
+        assert count == calls

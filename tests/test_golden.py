@@ -1,0 +1,36 @@
+"""CLI output pinned byte for byte against files under tests/golden/.
+
+Each case runs ``altzeta.cli.main`` in-process and compares stdout and the
+exit code with a recorded run.  Any change to the summation machinery must
+leave every byte in place.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from altzeta.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# (file stem, argv, exit code)
+CASES = [
+    ("eval_readme", ["eval", "--sigma", "1", "--t", "0", "--n", "2"], 0),
+    ("residuals_readme", ["residuals", "--sigma", "0.5", "--t", "14.1", "--n-max", "1024"], 0),
+    ("zeros_readme", ["zeros", "--k", "1", "--n-max", "4096"], 0),
+    ("converge_readme", ["converge", "--sigma", "1", "--t", "0"], 0),
+    ("sweep_readme", ["sweep", "--sigma-min", "0.1", "--sigma-max", "0.9",
+                      "--sigma-step", "0.1", "--t", "0"], 0),
+    ("eval_1e5", ["eval", "--sigma", "0.5", "--t", "14.1", "--n", "100000"], 0),
+    ("residuals_65536", ["residuals", "--sigma", "0.5", "--t", "14.1", "--n-max", "65536"], 0),
+    # The default tolerance rejects this correct ladder (rounding grows with |t|).
+    ("residuals_t1e5", ["residuals", "--sigma", "0.5", "--t", "1e5", "--n-max", "1024"], 1),
+    ("zeros_k-7", ["zeros", "--k", "-7", "--n-max", "32768"], 0),
+    ("zeros_k16", ["zeros", "--k", "16", "--n-max", "8192"], 0),
+]
+
+
+@pytest.mark.parametrize("stem, argv, code", CASES, ids=[c[0] for c in CASES])
+def test_cli_output_matches_golden(capsys, stem, argv, code):
+    assert main(argv) == code
+    assert capsys.readouterr().out == (GOLDEN / f"{stem}.csv").read_text()

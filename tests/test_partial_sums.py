@@ -7,8 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from altzeta.identities import riemann_sum
 from altzeta.kernel import MACHINE_EPSILON, pow_neg, sum_fixed_order
-from altzeta.partial_sums import band_sum, eta_partial, zeta_partial
+from altzeta.partial_sums import (
+    DEFAULT_MAX_TERMS,
+    _prefix_sums,
+    band_sum,
+    eta_partial,
+    zeta_partial,
+)
 
 SIGMAS = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
 TS = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
@@ -63,12 +70,41 @@ class TestValues:
         assert abs(r.value.real - float(expected)) <= r.err_bound + math.ulp(float(expected))
 
     def test_matches_generic_summation_bit_for_bit(self):
-        # the fused loops must agree exactly with summing pow_neg terms
+        # the fused loops must agree exactly with summing explicit +-pow_neg
+        # terms, both as one-off sums and as snapshots of one ladder pass
+        # (abs_sum differs: sum_fixed_order tallies abs(z), the fused loops
+        # the kernel magnitude)
         s = complex(0.5, 14.1)
         n = 137
         via_kernel = sum_fixed_order([pow_neg(m, s) for m in range(1, n + 1)])
         assert zeta_partial(n, s).value == via_kernel.value
         assert zeta_partial(n, s).err_bound == via_kernel.err_bound
+
+        def fresh(s, lo, hi, alternating):
+            return sum_fixed_order(
+                [-pow_neg(m, s) if alternating and m % 2 == 0 else pow_neg(m, s)
+                 for m in range(lo, hi + 1)]
+            )
+
+        ladder = (1, 2, 4, 8, 16, 32, 64, 128)
+        stops = ladder + (256,)
+        for s in (complex(0.5, 14.1), complex(1.0, -9.064720283654388), complex(-2.0, 0.0)):
+            snap = dict(zip(stops, _prefix_sums(s, stops)))
+            for n in ladder:
+                want_zeta = fresh(s, 1, n, False)
+                want_eta = fresh(s, 1, 2 * n, True)
+                want_band = fresh(s, n + 1, 2 * n, False)
+                for got, want in (
+                    (zeta_partial(n, s), want_zeta),
+                    (snap[n][0], want_zeta),
+                    (eta_partial(2 * n, s), want_eta),
+                    (snap[2 * n][1], want_eta),
+                    (band_sum(n, s), want_band),
+                    (snap[2 * n][2], want_band),
+                ):
+                    assert got.value == want.value
+                    assert got.err_bound == want.err_bound
+                    assert got.terms == want.terms
 
 
 class TestContracts:
@@ -77,12 +113,10 @@ class TestContracts:
             zeta_partial(0, complex(1.0, 0.0))
 
     def test_term_limit_is_an_error_not_truncation(self):
-        with pytest.raises(ValueError, match="limit"):
-            zeta_partial(101, complex(1.0, 0.0), max_terms=100)
-        with pytest.raises(ValueError, match="limit"):
-            eta_partial(101, complex(1.0, 0.0), max_terms=100)
-        with pytest.raises(ValueError, match="limit"):
-            band_sum(101, complex(1.0, 0.0), max_terms=100)
+        # raised before any summing: a truncated 10**7-term sum would take seconds
+        for fn in (zeta_partial, eta_partial, band_sum, riemann_sum):
+            with pytest.raises(ValueError, match="limit"):
+                fn(DEFAULT_MAX_TERMS + 1, complex(1.0, 0.0))
 
     def test_terms_field_counts_terms(self):
         s = complex(2.0, 3.0)
