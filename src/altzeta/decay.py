@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from math import exp, fsum, log, sqrt
 from typing import Sequence
 
-from .identities import defect
+from .identities import _defects
 from .kernel import MACHINE_EPSILON, _require_finite
 
 #: |defect| at or below this is rounding noise; fitting its log is meaningless.
@@ -53,10 +53,15 @@ def _validated_ladder(n_ladder: Sequence[int]) -> list[int]:
 
 
 def defect_ladder(s: complex, n_ladder: Sequence[int]) -> list[tuple[int, complex]]:
-    """The defect at each ladder entry, in ladder order."""
+    """The defect at each ladder entry, in ladder order.
+
+    Every rung reads its Riemann sum from one shared-node pass over the
+    largest rung's nodes (each rung that divides the next shares them), bit
+    for bit equal to ``defect(n, s)`` called rung by rung.
+    """
     s = _require_finite(s)
     ladder = _validated_ladder(n_ladder)
-    return [(n, defect(n, s)) for n in ladder]
+    return list(zip(ladder, _defects([s.real], s.imag, ladder)[0]))
 
 
 def fit_decay(samples: Sequence[tuple[int, complex]]) -> DecayFit:
@@ -81,7 +86,13 @@ def fit_decay(samples: Sequence[tuple[int, complex]]) -> DecayFit:
 def strip_sweep(
     sigma_grid: Sequence[float], t: float, n_ladder: Sequence[int]
 ) -> list[StripSample]:
-    """One decay fit per grid point s = sigma + it, rows in grid order."""
+    """One decay fit per grid point s = sigma + it, rows in grid order.
+
+    Every sigma and every rung share one Riemann pass: the node logarithm
+    and phase are formed once per node and the magnitude once per node and
+    sigma; each fit equals ``fit_decay(defect_ladder(sigma + it, n_ladder))``
+    bit for bit.
+    """
     sigmas = [float(x) for x in sigma_grid]
     for sigma in sigmas:
         if not 0.0 < sigma < 1.0:
@@ -92,8 +103,5 @@ def strip_sweep(
     if not sigmas:
         return []
     ladder = _validated_ladder(n_ladder)
-    out = []
-    for sigma in sigmas:
-        s = complex(sigma, t)
-        out.append(StripSample(s=s, fit=fit_decay([(n, defect(n, s)) for n in ladder])))
-    return out
+    return [StripSample(s=complex(sigma, t), fit=fit_decay(list(zip(ladder, defects))))
+            for sigma, defects in zip(sigmas, _defects(sigmas, t, ladder))]

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from math import cos, exp, expm1, fabs, log, log1p, sin
 from typing import Sequence
 
-from .kernel import MACHINE_EPSILON, SumResult, _Accumulator, _exp_neg_parts, _require_finite
+from .kernel import MACHINE_EPSILON, SumResult, _exp_neg_parts, _kahan_result, _require_finite
 from .partial_sums import _check_request, _prefix_sums
 
 _LN2 = log(2.0)
@@ -82,27 +82,132 @@ def integral_closed_form(s: complex) -> complex:
     return _integral_direct(s)
 
 
+def _divisor_chains(ladder: Sequence[int]) -> list[list[int]]:
+    # The distinct rungs split greedily into chains, each listed from its top
+    # down, in which every rung divides the one above it; a doubling ladder is
+    # one chain.  A rung's nodes k/n are then nodes of its chain's top.
+    chains: list[list[int]] = []
+    for n in sorted(set(ladder), reverse=True):
+        for chain in chains:
+            if chain[-1] % n == 0:
+                chain.append(n)
+                break
+        else:
+            chains.append([n])
+    return chains
+
+
+def _rung_stream(every: int, below):
+    # A compensated stream for one (sigma, rung): add(re, im, mag) is the
+    # real-pair update of kernel._Accumulator.add, and every `every`-th term
+    # is passed on to `below`, the next coarser rung of the chain (every = 0:
+    # none).  The state lives in closure cells: in CPython 3.11 an update
+    # through them costs about what one on local variables does, while list
+    # or attribute state costs up to twice as much.
+    s_re = c_re = s_im = c_im = abs_re = abs_im = abs_sum = 0.0
+    count = 0
+
+    def add(re: float, im: float, mag: float) -> None:
+        nonlocal s_re, c_re, s_im, c_im, abs_re, abs_im, abs_sum, count
+        y = re - c_re
+        w = s_re + y
+        c_re = (w - s_re) - y
+        s_re = w
+        y = im - c_im
+        w = s_im + y
+        c_im = (w - s_im) - y
+        s_im = w
+        abs_re += fabs(re)
+        abs_im += fabs(im)
+        abs_sum += mag
+        count += 1
+        if count == every:
+            count = 0
+            below(re, im, mag)
+
+    def totals() -> tuple[float, float, float, float, float]:
+        return s_re, s_im, abs_re, abs_im, abs_sum
+
+    return add, totals
+
+
+def _riemann_ladder(
+    sigmas: Sequence[float], t: float, ladder: Sequence[int]
+) -> list[list[SumResult]]:
+    """riemann_sum(n, sigma + it) for every sigma (rows) and rung n (columns).
+
+    One ascending pass per divisor chain over its top rung's nodes k = 1..N
+    forms log1p(k/N) and the signed sine and cosine of the phase once per
+    node, and exp(-sigma log1p(k/N)) once per node and sigma.  Each (sigma,
+    rung) has its own compensated stream, fed only at that rung's nodes:
+    k/n and (k*N/n)/N are the same rational, so IEEE division gives the same
+    double and every stream sees exactly the terms of a fresh riemann_sum,
+    in the same order.  Results are therefore bit-identical to one-off
+    calls.  State is O(rungs * sigmas); no node is stored.
+    """
+    for n in ladder:
+        _check_request(n)
+    for sigma in sigmas:
+        _require_finite(complex(sigma, t))
+    nt = -float(t)
+    found = {}
+    for chain in _divisor_chains(ladder):
+        top = chain[0]
+        heads = []  # (-sigma, add of the sigma's top rung)
+        reads = []  # (sigma index, n, totals)
+        for i, sigma in enumerate(sigmas):
+            add, below_n = None, 0  # built coarsest first, so each rung can feed the one below
+            for n in reversed(chain):
+                add, totals = _rung_stream(n // below_n if below_n else 0, add)
+                reads.append((i, n, totals))
+                below_n = n
+            heads.append((-float(sigma), add))
+        for k in range(1, top + 1):
+            ln_x = log1p(k / top)
+            # The phase part of kernel._exp_neg_parts, shared by every sigma.
+            phase = nt * ln_x
+            ap = fabs(phase)
+            sn = sin(ap)
+            if phase < 0.0:
+                sn = -sn
+            cs = cos(ap)
+            for neg_sigma, add in heads:
+                mag = exp(neg_sigma * ln_x)
+                add(mag * cs, mag * sn, mag)
+        for i, n, totals in reads:
+            # The raw node sum is divided by n once, and the division folded into the bound.
+            s_re, s_im, abs_re, abs_im, abs_sum = totals()
+            raw = _kahan_result(complex(s_re, s_im), n, abs_re, abs_im, abs_sum)
+            bound = (raw.err_bound + MACHINE_EPSILON * (fabs(s_re) + fabs(s_im))) / n
+            found[i, n] = SumResult(raw.value / n, bound, n, raw.abs_sum / n)
+    return [[found[i, n] for n in ladder] for i in range(len(sigmas))]
+
+
 def riemann_sum(n: int, s: complex) -> SumResult:
     """Right-endpoint Riemann sum of (1+x)**(-s): (1/n) sum_{k=1}^n (1+k/n)**(-s).
 
     Node logarithms use log1p(k/n), ascending k; the division by n happens
-    once at the end and is folded into the error bound.
+    once at the end and is folded into the error bound.  This is the
+    one-rung, one-sigma case of the shared-node pass ``_riemann_ladder``,
+    which serves every defect ladder and strip sweep bit for bit alike.
+    Raises OverflowError if the sum leaves the binary64 range.
     """
-    _check_request(n)
     s = _require_finite(s)
-    sigma, t = s.real, s.imag
-    acc = _Accumulator()
-    for k in range(1, n + 1):
-        acc.add(*_exp_neg_parts(sigma, t, log1p(k / n)))
-    raw = acc.result()
-    value = raw.value / n
-    bound = (raw.err_bound + MACHINE_EPSILON * (fabs(raw.value.real) + fabs(raw.value.imag))) / n
-    return SumResult(value, bound, n, raw.abs_sum / n)
+    return _riemann_ladder([s.real], s.imag, [n])[0][0]
 
 
 def defect(n: int, s: complex) -> complex:
     """Quadrature defect: closed-form integral minus the n-node Riemann sum."""
     return integral_closed_form(s) - riemann_sum(n, s).value
+
+
+def _defects(sigmas: Sequence[float], t: float, ladder: Sequence[int]) -> list[list[complex]]:
+    # defect(n, sigma + it) for every sigma (rows) and rung n (columns), one Riemann pass.
+    out = []
+    for sigma, row in zip(sigmas, _riemann_ladder(sigmas, t, ladder)):
+        integral = integral_closed_form(complex(sigma, t))
+        out.append([integral - r.value for r in row])
+    return out
 
 
 @dataclass(frozen=True)
@@ -132,8 +237,10 @@ def _residual_ladder(ladder: Sequence[int], s: complex) -> list[tuple[Residual, 
 
     One pass with stops ladder | 2*ladder serves every rung: zeta_n, zeta_2n
     and eta_2n are prefix snapshots, and band_n is the block stream between
-    the consecutive stops n and 2n.  The sides stay independent: zeta_2n is
-    never formed as zeta_n + band_n, and the Riemann sum keeps its own loop.
+    the consecutive stops n and 2n.  Every defect_n comes from one shared-node
+    Riemann pass (``_riemann_ladder``).  The sides stay independent: zeta_2n
+    is never formed as zeta_n + band_n, and the Riemann nodes log1p(k/n) are
+    shared only between Riemann rungs, never with the Dirichlet pass.
     """
     s = _require_finite(s)
     stops = sorted(set(ladder) | {2 * n for n in ladder})
@@ -141,10 +248,9 @@ def _residual_ladder(ladder: Sequence[int], s: complex) -> list[tuple[Residual, 
     c = _pow_one_minus(2, s)
     integral = integral_closed_form(s)
     out = []
-    for n in ladder:
+    for n, dn in zip(ladder, _defects([s.real], s.imag, ladder)[0]):
         half = snap[n][0]
         zeta2n, eta2n, band = snap[2 * n]
-        dn = defect(n, s)
         w = _pow_one_minus(2 * n, s)
         sides = (  # (lhs, rhs, scale) of cancellation, band and quadrature
             (eta2n.value - zeta2n.value, -(c * half.value),

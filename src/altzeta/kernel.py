@@ -35,10 +35,10 @@ class SumResult:
     abs_sum: float = 0.0
 
 
-def _require_finite(s: complex, what: str = "s") -> complex:
+def _require_finite(s: complex) -> complex:
     s = complex(s)
     if not (isfinite(s.real) and isfinite(s.imag)):
-        raise ValueError(f"{what} must be finite, got {s!r}")
+        raise ValueError(f"s must be finite, got {s!r}")
     return s
 
 
@@ -114,7 +114,11 @@ class _Accumulator:
 
 def _kahan_result(value: complex, n: int, abs_re: float, abs_im: float, abs_sum: float) -> SumResult:
     # SumResult of an n-term compensated sum, with the bound stated on _Accumulator.
+    # A sum whose value or magnitude tallies left the binary64 range is an
+    # error, never an inf or nan result.
     bound = (2.0 * MACHINE_EPSILON + n * MACHINE_EPSILON * MACHINE_EPSILON) * (abs_re + abs_im)
+    if not all(map(isfinite, (value.real, value.imag, bound, abs_sum))):
+        raise OverflowError(f"a sum of {n} terms exceeds the binary64 range")
     return SumResult(value, bound, n, abs_sum)
 
 
@@ -124,7 +128,8 @@ def sum_fixed_order(terms: Iterable[complex]) -> SumResult:
     Order is part of the contract: equal sequences give bit-identical
     results across runs and callers, and permuting the sequence may change
     the result.  The empty sequence sums to zero with a zero error bound.
-    Raises ValueError on the first non-finite term, identifying its index.
+    Raises ValueError on the first non-finite term, identifying its index,
+    and OverflowError if finite terms sum beyond the binary64 range.
     """
     acc = _Accumulator()
     for i, z in enumerate(terms):

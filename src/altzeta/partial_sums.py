@@ -41,7 +41,8 @@ def _prefix_sums(
     Three compensated streams share each kernel value m**(-s): the zeta
     prefix, the eta prefix with sign (-1)**(m-1), and the block since the
     previous stop, summed as its own stream.  Returns a (zeta, eta, block)
-    triple of SumResults per stop.
+    triple of SumResults per stop; raises OverflowError at the first stop
+    where a sum or a magnitude tally has left the binary64 range.
     """
     for stop in stops:
         _check_request(stop - first + 1)

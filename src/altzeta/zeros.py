@@ -19,7 +19,7 @@ from math import fabs, fsum, pi
 from typing import Sequence
 
 from .decay import _validated_ladder
-from .identities import _LN2, _residual_ladder, defect, residual_quadrature
+from .identities import _LN2, _defects, _residual_ladder, residual_quadrature
 from .kernel import _require_finite, pow_neg
 from .partial_sums import _prefix_sums
 
@@ -83,17 +83,18 @@ def _zero_ladder(point: ZeroPoint, ladder: Sequence[int]) -> list[ZeroCheck]:
     # The collapsed identity at each entry of an increasing n-ladder.
     s = point.s
     checks = []
-    for n, eta_value in zip(ladder, _eta_ladder(s, ladder)):
+    defects = _defects([s.real], s.imag, ladder)[0]
+    for n, eta_value, dn in zip(ladder, _eta_ladder(s, ladder), defects):
         rotation = pow_neg(n, complex(0.0, s.imag))  # n**(-it), unit modulus
-        predicted = -(rotation * defect(n, s))
+        predicted = -(rotation * dn)
         checks.append(ZeroCheck(point, n, eta_value, predicted,
                                 abs(eta_value - predicted), abs(eta_value)))
     return checks
 
 
-def zero_check(k: int, n: int, *, k_limit: int = DEFAULT_K_LIMIT) -> ZeroCheck:
+def zero_check(k: int, n: int) -> ZeroCheck:
     """Evaluate both sides of eta_{2n}(s_k) = -(n**(-it)) defect_n(s_k)."""
-    return _zero_ladder(zero_point(k, k_limit=k_limit), [n])[0]
+    return _zero_ladder(zero_point(k), [n])[0]
 
 
 def eta_limit_demo(k: int, n_ladder: Sequence[int]) -> list[tuple[int, float]]:

@@ -51,6 +51,13 @@ class TestEval:
         assert row["defect_re"] == "0.19314718055994529"
         assert float(row["defect_re"]) == pytest.approx(LN2 - 0.5, abs=math.ulp(LN2 - 0.5))
 
+    def test_overflow_exits_two(self, capsys):
+        code = main(["eval", "--sigma", "-77", "--n", "10000"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "overflows the working precision" in captured.err
+
     def test_rejects_malformed_sigma(self):
         proc = subprocess.run(
             [sys.executable, "-m", "altzeta", "eval", "--sigma", "abc", "--n", "2"],
@@ -204,3 +211,27 @@ class TestOnePass:
         main(argv)
         capsys.readouterr()
         assert count == calls
+
+    @pytest.mark.parametrize("argv, nodes", [
+        (["converge", "--sigma", "0.5", "--t", "3"], 16384),
+        (["sweep", "--sigma-min", "0.1", "--sigma-max", "0.9", "--sigma-step", "0.1",
+          "--t", "3"], 4096),
+        (["residuals", "--sigma", "0.5", "--t", "3", "--n-max", "64"], 64),
+    ])
+    def test_riemann_nodes(self, capsys, monkeypatch, argv, nodes):
+        # One log1p(k/N) per node of the largest rung, shared by every rung
+        # and every sigma (the per-rung loop took 32752, 73584 and 127).
+        from altzeta import identities
+
+        count = 0
+        log1p = identities.log1p
+
+        def counting(x):
+            nonlocal count
+            count += 1
+            return log1p(x)
+
+        monkeypatch.setattr(identities, "log1p", counting)
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert count == nodes

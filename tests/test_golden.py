@@ -27,6 +27,13 @@ CASES = [
     ("residuals_t1e5", ["residuals", "--sigma", "0.5", "--t", "1e5", "--n-max", "1024"], 1),
     ("zeros_k-7", ["zeros", "--k", "-7", "--n-max", "32768"], 0),
     ("zeros_k16", ["zeros", "--k", "16", "--n-max", "8192"], 0),
+    # Defect ladders: a start that is not a power of two, negative t (the
+    # sine-sign branch of every node), and a phase far from the axis.
+    ("converge_n10", ["converge", "--sigma", "0.3", "--t", "7", "--n", "10",
+                      "--n-max", "5000"], 0),
+    ("sweep_t-21.5", ["sweep", "--sigma-min", "0.05", "--sigma-max", "0.95",
+                      "--sigma-step", "0.1", "--t=-21.5"], 0),
+    ("converge_t3000", ["converge", "--sigma", "0.5", "--t", "3000"], 0),
 ]
 
 

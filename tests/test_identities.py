@@ -11,6 +11,7 @@ from altzeta.identities import (
     SINGULARITY_THRESHOLD,
     _integral_direct,
     _integral_series,
+    _riemann_ladder,
     defect,
     integral_closed_form,
     residual_band,
@@ -19,7 +20,7 @@ from altzeta.identities import (
     residual_suite,
     riemann_sum,
 )
-from altzeta.kernel import pow_neg
+from altzeta.kernel import MACHINE_EPSILON, SumResult, _Accumulator, _exp_neg_parts, pow_neg
 
 LN2 = math.log(2.0)
 T1 = 2.0 * math.pi / LN2
@@ -93,6 +94,56 @@ class TestRiemannSum:
         a = riemann_sum(n, complex(sigma, t)).value
         b = riemann_sum(n, complex(sigma, -t)).value
         assert b.real == a.real and b.imag == -a.imag
+
+
+def oracle_riemann_sum(n, s):
+    """The per-rung reference loop: one kernel call and one accumulator add per node."""
+    acc = _Accumulator()
+    for k in range(1, n + 1):
+        acc.add(*_exp_neg_parts(s.real, s.imag, math.log1p(k / n)))
+    raw = acc.result()
+    bound = (raw.err_bound + MACHINE_EPSILON * (abs(raw.value.real) + abs(raw.value.imag))) / n
+    return SumResult(raw.value / n, bound, n, raw.abs_sum / n)
+
+
+def bits(r):
+    # Every SumResult field, with signed zeros told apart.
+    return (r.value.real.hex(), r.value.imag.hex(), r.err_bound.hex(), r.terms, r.abs_sum.hex())
+
+
+class TestRiemannLadder:
+    """The shared-node pass equals the per-rung loop in every field."""
+
+    @pytest.mark.parametrize("sigmas, t, ladder", [
+        ([0.5], 14.1, [2 ** i for i in range(11)]),            # one doubling chain
+        ([0.3], -7.0, [10, 20, 40, 80, 160, 320]),             # doubling from a non-power
+        ([0.5, 2.0], 3.0, [3, 4, 6, 8, 12]),                   # two chains: 12-6-3 and 8-4
+        ([0.05, 0.35, 0.65, 0.95], -21.5, [16, 32, 64, 128]),  # negative t: sine-sign branch
+        ([-2.0, 0.0, 1.0, 4.5], 21.5, [5, 7, 35, 70, 1]),      # positive t, unsorted rungs
+        ([1.0, 0.25], 0.0, [1, 2, 3, 9, 27]),
+        ([0.5], 3000.0, [16, 64, 256]),
+    ])
+    def test_bit_identical_to_per_rung_loop(self, sigmas, t, ladder):
+        rows = _riemann_ladder(sigmas, t, ladder)
+        assert len(rows) == len(sigmas)
+        for sigma, row in zip(sigmas, rows):
+            assert [bits(r) for r in row] == [
+                bits(oracle_riemann_sum(n, complex(sigma, t))) for n in ladder]
+
+    @given(n=SMALL_N, sigma=SIGMAS, t=TS)
+    @settings(max_examples=60, deadline=None)
+    def test_one_rung_matches_oracle(self, n, sigma, t):
+        s = complex(sigma, t)
+        assert bits(riemann_sum(n, s)) == bits(oracle_riemann_sum(n, s))
+
+    def test_overflowing_sum_is_an_error_not_an_inf(self):
+        # Every node is finite (at most 2**1023.5), but their sum is not.
+        with pytest.raises(OverflowError):
+            riemann_sum(1000, complex(-1023.5, 0.0))
+
+    def test_rejects_non_finite_t(self):
+        with pytest.raises(ValueError):
+            _riemann_ladder([0.5], float("nan"), [4])
 
 
 class TestDefect:

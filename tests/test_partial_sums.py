@@ -118,6 +118,12 @@ class TestContracts:
             with pytest.raises(ValueError, match="limit"):
                 fn(DEFAULT_MAX_TERMS + 1, complex(1.0, 0.0))
 
+    def test_overflowing_sum_is_an_error_not_a_nan(self):
+        # 10**4 terms up to 10**308 each: the zeta value and the tallies overflow
+        for fn in (zeta_partial, eta_partial):
+            with pytest.raises(OverflowError):
+                fn(10**4, complex(-77.0, 0.0))
+
     def test_terms_field_counts_terms(self):
         s = complex(2.0, 3.0)
         assert zeta_partial(7, s).terms == 7
