@@ -16,9 +16,10 @@ diagnostics go to stderr only.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import sys
-from math import floor
+from math import floor, inf
 
 from .decay import defect_ladder, fit_decay, strip_sweep
 from .identities import _residual_ladder, defect, integral_closed_form
@@ -30,23 +31,30 @@ DEFAULT_ZERO_TOL = 1e-10
 DEFAULT_LADDER_START = 16
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def _fmt(x: str | int | float) -> str:
+    # One CSV cell or header value: text as is, int in decimal, float at 17 digits.
+    return x if isinstance(x, str) else str(x) if isinstance(x, int) else format(float(x), ".17g")
 
 
 def _doubling_ladder(start: int, n_max: int) -> list[int]:
     if n_max < 1:
         raise ValueError(f"--n-max must be positive, got {n_max}")
-    start = min(start, n_max)
-    ladder = []
-    n = start
-    while n <= n_max:
-        ladder.append(n)
-        n *= 2
+    if start < 1:  # a start of 0 never doubles; a negative one never reaches n_max
+        raise ValueError(f"--n must be positive, got {start}")
+    ladder = [min(start, n_max)]
+    while 2 * ladder[-1] <= n_max:
+        ladder.append(2 * ladder[-1])
     return ladder
 
 
-def _cmd_eval(args) -> tuple[list[str], list[str], list[list[str]], bool]:
+def _tol(text: str) -> float:
+    tol = float(text)
+    if not 0.0 <= tol < inf:  # nan fails every comparison, so it is rejected too
+        raise argparse.ArgumentTypeError(f"must be finite and non-negative, got {text}")
+    return tol
+
+
+def _cmd_eval(args) -> tuple[list[str], list[str], list[list], bool]:
     s = complex(args.sigma, args.t)
     comments = [f"# altzeta eval: sigma={_fmt(args.sigma)} t={_fmt(args.t)} n={args.n}"]
     header = ["n", "zeta_re", "zeta_im", "eta_re", "eta_im",
@@ -54,60 +62,46 @@ def _cmd_eval(args) -> tuple[list[str], list[str], list[list[str]], bool]:
     z, e, _ = (r.value for r in _prefix_sums(s, [args.n])[0])
     d = defect(args.n, s)
     i = integral_closed_form(s)
-    row = [str(args.n)] + [_fmt(v) for v in
-                           (z.real, z.imag, e.real, e.imag, d.real, d.imag, i.real, i.imag)]
+    row = [args.n, z.real, z.imag, e.real, e.imag, d.real, d.imag, i.real, i.imag]
     return comments, header, [row], True
 
 
-def _cmd_residuals(args) -> tuple[list[str], list[str], list[list[str]], bool]:
+def _cmd_residuals(args) -> tuple[list[str], list[str], list[list], bool]:
     s = complex(args.sigma, args.t)
-    tol = args.tol
     comments = [
         f"# altzeta residuals: sigma={_fmt(args.sigma)} t={_fmt(args.t)} n_max={args.n_max}",
-        f"# tol: abs_diff <= {_fmt(tol)} * max(scale, 1) for each identity",
+        f"# tol: abs_diff <= {_fmt(args.tol)} * max(scale, 1) for each identity",
     ]
     header = ["n", "cancel_diff", "cancel_scale", "band_diff", "band_scale",
               "quad_diff", "quad_scale", "eta_re", "eta_im"]
-    rows = []
-    ok = True
     ladder = _doubling_ladder(1, args.n_max)
-    for n, (cancel, band, quad) in zip(ladder, _residual_ladder(ladder, s)):
-        for r in (cancel, band, quad):
-            if r.abs_diff > tol * max(r.scale, 1.0):
-                ok = False
-        rows.append([str(n),
-                     _fmt(cancel.abs_diff), _fmt(cancel.scale),
-                     _fmt(band.abs_diff), _fmt(band.scale),
-                     _fmt(quad.abs_diff), _fmt(quad.scale),
-                     _fmt(band.lhs.real), _fmt(band.lhs.imag)])
+    residuals = _residual_ladder(ladder, s)
+    rows = [[n, cancel.abs_diff, cancel.scale, band.abs_diff, band.scale,
+             quad.abs_diff, quad.scale, band.lhs.real, band.lhs.imag]
+            for n, (cancel, band, quad) in zip(ladder, residuals)]
+    ok = all(r.abs_diff <= args.tol * max(r.scale, 1.0) for rung in residuals for r in rung)
     return comments, header, rows, ok
 
 
-def _cmd_zeros(args) -> tuple[list[str], list[str], list[list[str]], bool]:
+def _cmd_zeros(args) -> tuple[list[str], list[str], list[list], bool]:
     point = zero_point(args.k)
-    tol = args.tol
-    target = max(MIN_TARGET_TOL, 0.1 * tol)
+    target = max(MIN_TARGET_TOL, 0.1 * args.tol)
     comments = [
         f"# altzeta zeros: k={args.k} t={_fmt(point.s.imag)} n_max={args.n_max}",
-        f"# tol: final reference magnitude <= {_fmt(tol)} "
+        f"# tol: final reference magnitude <= {_fmt(args.tol)} "
         f"(accelerator target {_fmt(target)}); ladder magnitudes must decrease",
     ]
     header = ["stage", "n", "eta_abs", "identity_diff", "defect_abs"]
-    rows = []
-    magnitudes = []
-    ladder = _doubling_ladder(DEFAULT_LADDER_START, args.n_max)
-    for n, check in zip(ladder, _zero_ladder(point, ladder)):
-        d_abs = abs(check.predicted)  # |n**(-it)| = 1, so this is |defect|
-        magnitudes.append(check.magnitude)
-        rows.append(["ladder", str(n), _fmt(check.magnitude),
-                     _fmt(check.identity_diff), _fmt(d_abs)])
+    checks = _zero_ladder(point, _doubling_ladder(DEFAULT_LADDER_START, args.n_max))
+    # |n**(-it)| = 1, so |predicted| is |defect|.
+    rows = [["ladder", c.n, c.magnitude, c.identity_diff, abs(c.predicted)] for c in checks]
     ref = abs(eta_reference(point.s, target))
-    rows.append(["reference", "", _fmt(ref), "", ""])
-    decreasing = all(b < a for a, b in zip(magnitudes, magnitudes[1:]))
-    return comments, header, rows, decreasing and ref <= tol
+    rows.append(["reference", "", ref, "", ""])
+    decreasing = all(b.magnitude < a.magnitude for a, b in zip(checks, checks[1:]))
+    return comments, header, rows, decreasing and ref <= args.tol
 
 
-def _cmd_converge(args) -> tuple[list[str], list[str], list[list[str]], bool]:
+def _cmd_converge(args) -> tuple[list[str], list[str], list[list], bool]:
     s = complex(args.sigma, args.t)
     ladder = _doubling_ladder(args.n, args.n_max)
     comments = [
@@ -118,15 +112,12 @@ def _cmd_converge(args) -> tuple[list[str], list[str], list[list[str]], bool]:
               "beta", "log_c", "rms_residual", "points_used"]
     samples = defect_ladder(s, ladder)
     fit = fit_decay(samples)
-    rows = [["defect", str(n), _fmt(d.real), _fmt(d.imag), _fmt(abs(d)), "", "", "", ""]
-            for n, d in samples]
-    rows.append(["fit", "", "", "", "",
-                 _fmt(fit.beta), _fmt(fit.log_c), _fmt(fit.rms_residual),
-                 str(fit.points_used)])
+    rows = [["defect", n, d.real, d.imag, abs(d), "", "", "", ""] for n, d in samples]
+    rows.append(["fit", "", "", "", "", fit.beta, fit.log_c, fit.rms_residual, fit.points_used])
     return comments, header, rows, True
 
 
-def _cmd_sweep(args) -> tuple[list[str], list[str], list[list[str]], bool]:
+def _cmd_sweep(args) -> tuple[list[str], list[str], list[list], bool]:
     if args.sigma_step <= 0.0:
         raise ValueError(f"--sigma-step must be positive, got {args.sigma_step}")
     if args.sigma_max < args.sigma_min:
@@ -140,11 +131,8 @@ def _cmd_sweep(args) -> tuple[list[str], list[str], list[list[str]], bool]:
         f"ladder={ladder[0]}..{ladder[-1]} (doubling)",
     ]
     header = ["sigma", "t", "beta", "log_c", "rms_residual"]
-    rows = []
-    for sample in strip_sweep(grid, args.t, ladder):
-        fit = sample.fit
-        rows.append([_fmt(sample.s.real), _fmt(sample.s.imag),
-                     _fmt(fit.beta), _fmt(fit.log_c), _fmt(fit.rms_residual)])
+    rows = [[p.s.real, p.s.imag, p.fit.beta, p.fit.log_c, p.fit.rms_residual]
+            for p in strip_sweep(grid, args.t, ladder)]
     return comments, header, rows, True
 
 
@@ -155,67 +143,54 @@ def _build_parser() -> argparse.ArgumentParser:
                     "line Re(s)=1 zero demos, and defect decay fits (CSV output).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None, help="output CSV path (default stdout)")
+    at_t = argparse.ArgumentParser(add_help=False, parents=[out])
+    at_t.add_argument("--t", type=float, default=0.0, help="Im(s) (default 0)")
+    point = argparse.ArgumentParser(add_help=False, parents=[at_t])
+    point.add_argument("--sigma", type=float, required=True, help="Re(s)")
 
-    p = sub.add_parser("eval", help="partial sums, defect, and integral at one (s, n)")
-    p.add_argument("--sigma", type=float, required=True, help="Re(s)")
-    p.add_argument("--t", type=float, default=0.0, help="Im(s) (default 0)")
+    p = sub.add_parser("eval", parents=[point],
+                       help="partial sums, defect, and integral at one (s, n)")
     p.add_argument("--n", type=int, required=True, help="number of terms")
-    p.add_argument("--out", default=None, help="output CSV path (default stdout)")
     p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("residuals", help="identity residuals over a doubling n-ladder")
-    p.add_argument("--sigma", type=float, required=True)
-    p.add_argument("--t", type=float, default=0.0)
+    p = sub.add_parser("residuals", parents=[point],
+                       help="identity residuals over a doubling n-ladder")
     p.add_argument("--n-max", type=int, required=True, help="ladder top (ladder is 1,2,4,..)")
-    p.add_argument("--tol", type=float, default=DEFAULT_RESIDUAL_TOL,
+    p.add_argument("--tol", type=_tol, default=DEFAULT_RESIDUAL_TOL,
                    help=f"pass threshold on abs_diff/max(scale,1) (default {DEFAULT_RESIDUAL_TOL})")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_residuals)
 
-    p = sub.add_parser("zeros", help="zero demonstration at s_k = 1 + 2k*pi*i/log 2")
+    p = sub.add_parser("zeros", parents=[out],
+                       help="zero demonstration at s_k = 1 + 2k*pi*i/log 2")
     p.add_argument("--k", type=int, required=True, help="nonzero zero index")
     p.add_argument("--n-max", type=int, default=4096, help="ladder top (default 4096)")
-    p.add_argument("--tol", type=float, default=DEFAULT_ZERO_TOL,
+    p.add_argument("--tol", type=_tol, default=DEFAULT_ZERO_TOL,
                    help=f"bound on the reference magnitude (default {DEFAULT_ZERO_TOL})")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_zeros)
 
-    p = sub.add_parser("converge", help="defect ladder and decay fit at one s")
-    p.add_argument("--sigma", type=float, required=True)
-    p.add_argument("--t", type=float, default=0.0)
+    p = sub.add_parser("converge", parents=[point], help="defect ladder and decay fit at one s")
     p.add_argument("--n", type=int, default=DEFAULT_LADDER_START,
                    help=f"ladder start (default {DEFAULT_LADDER_START})")
     p.add_argument("--n-max", type=int, default=16384, help="ladder top (default 16384)")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_converge)
 
-    p = sub.add_parser("sweep", help="decay fits across the critical strip")
+    p = sub.add_parser("sweep", parents=[at_t], help="decay fits across the critical strip")
     p.add_argument("--sigma-min", type=float, required=True)
     p.add_argument("--sigma-max", type=float, required=True)
     p.add_argument("--sigma-step", type=float, required=True)
-    p.add_argument("--t", type=float, default=0.0)
     p.add_argument("--n", type=int, default=DEFAULT_LADDER_START)
     p.add_argument("--n-max", type=int, default=4096, help="ladder top (default 4096)")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_sweep)
 
     return parser
 
 
-def _emit(out_path: str | None, comments: list[str], header: list[str],
-          rows: list[list[str]]) -> None:
-    def write_to(stream) -> None:
-        for line in comments:
-            stream.write(line + "\n")
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-    if out_path is None:
-        write_to(sys.stdout)
-    else:
-        with open(out_path, "w", newline="") as handle:
-            write_to(handle)
+def _emit(stream, comments: list[str], header: list[str], rows: list[list]) -> None:
+    stream.writelines(line + "\n" for line in comments)
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerows([_fmt(x) for x in row] for row in [header, *rows])
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -231,5 +206,7 @@ def main(argv: list[str] | None = None) -> int:
     except ToleranceNotReached as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _emit(args.out, comments, header, rows)
+    with (open(args.out, "w", newline="") if args.out is not None
+          else contextlib.nullcontext(sys.stdout)) as stream:
+        _emit(stream, comments, header, rows)
     return 0 if ok else 1

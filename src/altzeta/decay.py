@@ -10,7 +10,6 @@ draws no conclusions from them.
 
 from __future__ import annotations
 
-import statistics
 from dataclasses import dataclass
 from math import exp, fsum, log, sqrt
 from typing import Sequence
@@ -77,7 +76,15 @@ def fit_decay(samples: Sequence[tuple[int, complex]]) -> DecayFit:
             )
     xs = [log(n) for n, _ in pairs]
     ys = [log(abs(d)) for _, d in pairs]
-    slope, intercept = statistics.linear_regression(xs, ys)
+    # statistics.linear_regression of Python 3.10/3.11; 3.12's math.sumprod changes the last digits.
+    xbar = fsum(xs) / len(xs)
+    ybar = fsum(ys) / len(ys)
+    sxy = fsum((x - xbar) * (y - ybar) for x, y in zip(xs, ys))
+    sxx = fsum((x - xbar) * (x - xbar) for x in xs)
+    if sxx == 0.0:
+        raise ValueError("cannot fit: every sample has the same n")
+    slope = sxy / sxx
+    intercept = ybar - slope * xbar
     residuals = [y - (intercept + slope * x) for x, y in zip(xs, ys)]
     rms = sqrt(fsum(r * r for r in residuals) / len(residuals))
     return DecayFit(beta=-slope, log_c=intercept, rms_residual=rms, points_used=len(pairs))

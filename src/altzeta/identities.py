@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from math import cos, exp, expm1, fabs, log, log1p, sin
 from typing import Sequence
 
-from .kernel import MACHINE_EPSILON, SumResult, _exp_neg_parts, _kahan_result, _require_finite
+from .kernel import MACHINE_EPSILON, SumResult, _exp_neg_parts, _require_finite, _stream
 from .partial_sums import _check_request, _prefix_sums
 
 _LN2 = log(2.0)
@@ -97,40 +97,6 @@ def _divisor_chains(ladder: Sequence[int]) -> list[list[int]]:
     return chains
 
 
-def _rung_stream(every: int, below):
-    # A compensated stream for one (sigma, rung): add(re, im, mag) is the
-    # real-pair update of kernel._Accumulator.add, and every `every`-th term
-    # is passed on to `below`, the next coarser rung of the chain (every = 0:
-    # none).  The state lives in closure cells: in CPython 3.11 an update
-    # through them costs about what one on local variables does, while list
-    # or attribute state costs up to twice as much.
-    s_re = c_re = s_im = c_im = abs_re = abs_im = abs_sum = 0.0
-    count = 0
-
-    def add(re: float, im: float, mag: float) -> None:
-        nonlocal s_re, c_re, s_im, c_im, abs_re, abs_im, abs_sum, count
-        y = re - c_re
-        w = s_re + y
-        c_re = (w - s_re) - y
-        s_re = w
-        y = im - c_im
-        w = s_im + y
-        c_im = (w - s_im) - y
-        s_im = w
-        abs_re += fabs(re)
-        abs_im += fabs(im)
-        abs_sum += mag
-        count += 1
-        if count == every:
-            count = 0
-            below(re, im, mag)
-
-    def totals() -> tuple[float, float, float, float, float]:
-        return s_re, s_im, abs_re, abs_im, abs_sum
-
-    return add, totals
-
-
 def _riemann_ladder(
     sigmas: Sequence[float], t: float, ladder: Sequence[int]
 ) -> list[list[SumResult]]:
@@ -150,16 +116,14 @@ def _riemann_ladder(
     for sigma in sigmas:
         _require_finite(complex(sigma, t))
     nt = -float(t)
-    found = {}
+    streams = {}  # (sigma index, n) -> result of that stream
     for chain in _divisor_chains(ladder):
         top = chain[0]
         heads = []  # (-sigma, add of the sigma's top rung)
-        reads = []  # (sigma index, n, totals)
         for i, sigma in enumerate(sigmas):
             add, below_n = None, 0  # built coarsest first, so each rung can feed the one below
             for n in reversed(chain):
-                add, totals = _rung_stream(n // below_n if below_n else 0, add)
-                reads.append((i, n, totals))
+                add, streams[i, n] = _stream(n // below_n if below_n else 0, add)
                 below_n = n
             heads.append((-float(sigma), add))
         for k in range(1, top + 1):
@@ -174,12 +138,12 @@ def _riemann_ladder(
             for neg_sigma, add in heads:
                 mag = exp(neg_sigma * ln_x)
                 add(mag * cs, mag * sn, mag)
-        for i, n, totals in reads:
-            # The raw node sum is divided by n once, and the division folded into the bound.
-            s_re, s_im, abs_re, abs_im, abs_sum = totals()
-            raw = _kahan_result(complex(s_re, s_im), n, abs_re, abs_im, abs_sum)
-            bound = (raw.err_bound + MACHINE_EPSILON * (fabs(s_re) + fabs(s_im))) / n
-            found[i, n] = SumResult(raw.value / n, bound, n, raw.abs_sum / n)
+    found = {}
+    for (i, n), result in streams.items():
+        # The raw node sum is divided by n once, and the division folded into the bound.
+        raw = result(n)
+        bound = (raw.err_bound + MACHINE_EPSILON * (fabs(raw.value.real) + fabs(raw.value.imag))) / n
+        found[i, n] = SumResult(raw.value / n, bound, n, raw.abs_sum / n)
     return [[found[i, n] for n in ladder] for i in range(len(sigmas))]
 
 

@@ -74,46 +74,52 @@ def pow_neg(n: int, s: complex) -> complex:
     return complex(re, im)
 
 
-class _Accumulator:
-    """Kahan-compensated accumulator for a stream of complex terms.
+def _stream(every: int = 0, below=None):
+    """One Kahan-compensated stream of complex terms: an (add, result) pair.
 
-    Each component carries its own compensation term.  The error bound uses
-    the classic compensated-summation result: the computed sum equals the
-    exact sum of terms perturbed relatively by at most 2u + O(n u^2), so
+    add(re, im, mag) adds a term, each component with its own compensation,
+    and passes every ``every``-th term on to the stream ``below`` (every = 0:
+    none).  result(n) reads the sum of the n terms added so far; the caller
+    counts them, so add keeps a single counter.  The state lives in closure
+    cells: in CPython 3.11 an update through them costs about what one on
+    local variables does, while list or attribute state costs up to twice as
+    much.  By the classic compensated-summation result (Kahan 1965) the
+    computed sum is the exact sum of terms perturbed relatively by at most
+    2u + O(n u^2), so
 
         |error| <= (2 eps + n eps^2) * (sum |re_i| + sum |im_i|)
 
     which also absorbs the rounding of the magnitude tallies themselves.
     """
+    s_re = c_re = s_im = c_im = abs_re = abs_im = abs_sum = 0.0
+    count = 0
 
-    __slots__ = ("s_re", "c_re", "s_im", "c_im", "abs_re", "abs_im", "abs_sum", "n")
+    def add(re: float, im: float, mag: float) -> None:
+        nonlocal s_re, c_re, s_im, c_im, abs_re, abs_im, abs_sum, count
+        y = re - c_re
+        w = s_re + y
+        c_re = (w - s_re) - y
+        s_re = w
+        y = im - c_im
+        w = s_im + y
+        c_im = (w - s_im) - y
+        s_im = w
+        abs_re += fabs(re)
+        abs_im += fabs(im)
+        abs_sum += mag
+        count += 1
+        if count == every:
+            count = 0
+            below(re, im, mag)
 
-    def __init__(self) -> None:
-        self.s_re = self.c_re = self.s_im = self.c_im = 0.0
-        self.abs_re = self.abs_im = self.abs_sum = 0.0
-        self.n = 0
+    def result(n: int) -> SumResult:
+        return _kahan_result(complex(s_re, s_im), n, abs_re, abs_im, abs_sum)
 
-    def add(self, re: float, im: float, mag: float) -> None:
-        y = re - self.c_re
-        t = self.s_re + y
-        self.c_re = (t - self.s_re) - y
-        self.s_re = t
-        y = im - self.c_im
-        t = self.s_im + y
-        self.c_im = (t - self.s_im) - y
-        self.s_im = t
-        self.abs_re += fabs(re)
-        self.abs_im += fabs(im)
-        self.abs_sum += mag
-        self.n += 1
-
-    def result(self) -> SumResult:
-        value = complex(self.s_re, self.s_im)
-        return _kahan_result(value, self.n, self.abs_re, self.abs_im, self.abs_sum)
+    return add, result
 
 
 def _kahan_result(value: complex, n: int, abs_re: float, abs_im: float, abs_sum: float) -> SumResult:
-    # SumResult of an n-term compensated sum, with the bound stated on _Accumulator.
+    # SumResult of an n-term compensated sum, with the bound stated on _stream.
     # A sum whose value or magnitude tallies left the binary64 range is an
     # error, never an inf or nan result.
     bound = (2.0 * MACHINE_EPSILON + n * MACHINE_EPSILON * MACHINE_EPSILON) * (abs_re + abs_im)
@@ -131,10 +137,11 @@ def sum_fixed_order(terms: Iterable[complex]) -> SumResult:
     Raises ValueError on the first non-finite term, identifying its index,
     and OverflowError if finite terms sum beyond the binary64 range.
     """
-    acc = _Accumulator()
-    for i, z in enumerate(terms):
+    add, result = _stream()
+    n = 0
+    for n, z in enumerate(terms, 1):
         z = complex(z)
         if not (isfinite(z.real) and isfinite(z.imag)):
-            raise ValueError(f"non-finite term at index {i}: {z!r}")
-        acc.add(z.real, z.imag, abs(z))
-    return acc.result()
+            raise ValueError(f"non-finite term at index {n - 1}: {z!r}")
+        add(z.real, z.imag, abs(z))
+    return result(n)

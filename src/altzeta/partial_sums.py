@@ -59,7 +59,7 @@ def _prefix_sums(
             re, im, mag = _exp_neg_parts(sigma, t, log(m))
             z = complex(re, im)
             # Kahan steps inlined; complex + and - act componentwise, so each
-            # is the real-pair update of kernel._Accumulator.add.
+            # is the real-pair update of kernel._stream's add.
             y = z - c_zeta
             w = zeta + y
             zeta, c_zeta = w, (w - zeta) - y

@@ -1,14 +1,16 @@
 """CLI behavior: CSV shape, worked values, exit codes, determinism."""
 
+import argparse
 import csv
 import io
 import math
+import resource
 import subprocess
 import sys
 
 import pytest
 
-from altzeta.cli import main
+from altzeta.cli import _build_parser, main
 
 LN2 = math.log(2.0)
 
@@ -235,3 +237,75 @@ class TestOnePass:
         assert main(argv) == 0
         capsys.readouterr()
         assert count == nodes
+
+
+class TestRejectedInputs:
+    @pytest.mark.parametrize("argv", [
+        ["residuals", "--sigma", "0.5", "--n-max", "64", "--tol", "nan"],
+        ["residuals", "--sigma", "0.5", "--n-max", "64", "--tol", "inf"],
+        ["residuals", "--sigma", "0.5", "--n-max", "64", "--tol=-1e-12"],
+        ["zeros", "--k", "1", "--n-max", "64", "--tol", "nan"],
+        ["zeros", "--k", "1", "--n-max", "64", "--tol", "-1"],
+    ])
+    def test_bad_tolerance_exits_two_before_summing(self, capsys, monkeypatch, argv):
+        # A nan tolerance would pass every residual check; reject it with the usage errors.
+        from altzeta import partial_sums
+
+        def kernel(*args):
+            raise AssertionError("summed before rejecting --tol")
+
+        monkeypatch.setattr(partial_sums, "_exp_neg_parts", kernel)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert "--tol" in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["converge", "--sigma", "0.5", "--n", "0"],
+        ["sweep", "--sigma-min", "0.1", "--sigma-max", "0.9", "--sigma-step", "0.1", "--n", "0"],
+        ["converge", "--sigma", "0.5", "--n", "-3"],
+    ])
+    def test_ladder_start_below_one_exits_two(self, argv):
+        # Such a ladder never reaches --n-max, so a regression loops or eats
+        # memory: run it in a child capped in time and address space.
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))
+
+        proc = subprocess.run([sys.executable, "-m", "altzeta", *argv], capture_output=True,
+                              text=True, timeout=60, preexec_fn=cap_memory)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "must be positive" in proc.stderr
+
+
+class TestOptions:
+    """Every subcommand keeps its option strings, defaults and required flags."""
+
+    EXPECTED = {  # option -> (default, required)
+        "eval": {"--sigma": (None, True), "--t": (0.0, False), "--n": (None, True),
+                 "--out": (None, False)},
+        "residuals": {"--sigma": (None, True), "--t": (0.0, False), "--n-max": (None, True),
+                      "--tol": (1e-12, False), "--out": (None, False)},
+        "zeros": {"--k": (None, True), "--n-max": (4096, False), "--tol": (1e-10, False),
+                  "--out": (None, False)},
+        "converge": {"--sigma": (None, True), "--t": (0.0, False), "--n": (16, False),
+                     "--n-max": (16384, False), "--out": (None, False)},
+        "sweep": {"--sigma-min": (None, True), "--sigma-max": (None, True),
+                  "--sigma-step": (None, True), "--t": (0.0, False), "--n": (16, False),
+                  "--n-max": (4096, False), "--out": (None, False)},
+    }
+
+    def test_options_pinned(self):
+        parser = _build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert set(sub.choices) == set(self.EXPECTED)
+        for name, command in sub.choices.items():
+            found = {}
+            for action in command._actions:
+                if action.dest == "help":
+                    continue
+                (option,) = action.option_strings
+                found[option] = (action.default, action.required)
+            assert found == self.EXPECTED[name], name

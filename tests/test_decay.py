@@ -58,6 +58,10 @@ class TestFitDecay:
         with pytest.raises(ValueError, match="at least 3"):
             fit_decay([(16, complex(0.1, 0.0)), (32, complex(0.05, 0.0))])
 
+    def test_equal_n_rejected(self):
+        with pytest.raises(ValueError):
+            fit_decay([(16, complex(0.1, 0.0)), (16, complex(0.2, 0.0)), (16, complex(0.3, 0.0))])
+
     def test_synthetic_power_law_recovered_exactly(self):
         samples = [(n, complex(0.7 * n ** -1.3, 0.0)) for n in (8, 16, 32, 64, 128)]
         fit = fit_decay(samples)

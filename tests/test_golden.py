@@ -41,3 +41,11 @@ CASES = [
 def test_cli_output_matches_golden(capsys, stem, argv, code):
     assert main(argv) == code
     assert capsys.readouterr().out == (GOLDEN / f"{stem}.csv").read_text()
+
+
+@pytest.mark.parametrize("stem, argv, code", CASES, ids=[c[0] for c in CASES])
+def test_out_file_matches_golden(capsys, tmp_path, stem, argv, code):
+    path = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(path)]) == code
+    assert capsys.readouterr().out == ""
+    assert path.read_bytes() == (GOLDEN / f"{stem}.csv").read_bytes()

@@ -20,7 +20,7 @@ from altzeta.identities import (
     residual_suite,
     riemann_sum,
 )
-from altzeta.kernel import MACHINE_EPSILON, SumResult, _Accumulator, _exp_neg_parts, pow_neg
+from altzeta.kernel import MACHINE_EPSILON, SumResult, _exp_neg_parts, _stream, pow_neg
 
 LN2 = math.log(2.0)
 T1 = 2.0 * math.pi / LN2
@@ -98,10 +98,10 @@ class TestRiemannSum:
 
 def oracle_riemann_sum(n, s):
     """The per-rung reference loop: one kernel call and one accumulator add per node."""
-    acc = _Accumulator()
+    add, result = _stream()
     for k in range(1, n + 1):
-        acc.add(*_exp_neg_parts(s.real, s.imag, math.log1p(k / n)))
-    raw = acc.result()
+        add(*_exp_neg_parts(s.real, s.imag, math.log1p(k / n)))
+    raw = result(n)
     bound = (raw.err_bound + MACHINE_EPSILON * (abs(raw.value.real) + abs(raw.value.imag))) / n
     return SumResult(raw.value / n, bound, n, raw.abs_sum / n)
 
