@@ -21,9 +21,6 @@ from .identities import (
     SINGULARITY_THRESHOLD,
     defect,
     integral_closed_form,
-    residual_band,
-    residual_cancellation,
-    residual_quadrature,
     residual_suite,
     riemann_sum,
 )
@@ -35,7 +32,6 @@ from .zeros import (
     ZeroCheck,
     ZeroPoint,
     eta_limit_demo,
-    eta_reconstructed,
     eta_reference,
     eta_richardson,
     zero_check,
@@ -62,15 +58,11 @@ __all__ = [
     "defect_ladder",
     "eta_limit_demo",
     "eta_partial",
-    "eta_reconstructed",
     "eta_reference",
     "eta_richardson",
     "fit_decay",
     "integral_closed_form",
     "pow_neg",
-    "residual_band",
-    "residual_cancellation",
-    "residual_quadrature",
     "residual_suite",
     "riemann_sum",
     "strip_sweep",

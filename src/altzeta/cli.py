@@ -23,7 +23,7 @@ from math import floor, inf
 
 from .decay import defect_ladder, fit_decay, strip_sweep
 from .identities import _residual_ladder, defect, integral_closed_form
-from .partial_sums import _prefix_sums
+from .partial_sums import DEFAULT_MAX_TERMS, _prefix_sums
 from .zeros import MIN_TARGET_TOL, ToleranceNotReached, _zero_ladder, eta_reference, zero_point
 
 DEFAULT_RESIDUAL_TOL = 1e-12
@@ -123,8 +123,12 @@ def _cmd_sweep(args) -> tuple[list[str], list[str], list[list], bool]:
     if args.sigma_max < args.sigma_min:
         raise ValueError("--sigma-max must not be below --sigma-min")
     count = int(floor((args.sigma_max - args.sigma_min) / args.sigma_step + 1e-9)) + 1
-    grid = [args.sigma_min + i * args.sigma_step for i in range(count)]
     ladder = _doubling_ladder(args.n, args.n_max)
+    # The pass forms one magnitude per node and sigma; cap them before the grid is built.
+    if count * ladder[-1] > DEFAULT_MAX_TERMS:
+        raise ValueError(f"a sweep of {count} sigmas to n = {ladder[-1]} exceeds "
+                         f"the configured limit of {DEFAULT_MAX_TERMS} terms")
+    grid = [args.sigma_min + i * args.sigma_step for i in range(count)]
     comments = [
         f"# altzeta sweep: sigma={_fmt(args.sigma_min)}..{_fmt(args.sigma_max)} "
         f"step={_fmt(args.sigma_step)} t={_fmt(args.t)} "
@@ -187,6 +191,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def _emit(stream, comments: list[str], header: list[str], rows: list[list]) -> None:
     stream.writelines(line + "\n" for line in comments)
     writer = csv.writer(stream, lineterminator="\n")
@@ -194,7 +201,7 @@ def _emit(stream, comments: list[str], header: list[str], rows: list[list]) -> N
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         comments, header, rows, ok = args.func(args)
     except ValueError as exc:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from math import cos, exp, expm1, fabs, log, log1p, sin
 from typing import Sequence
 
-from .kernel import MACHINE_EPSILON, SumResult, _exp_neg_parts, _require_finite, _stream
+from .kernel import MACHINE_EPSILON, SumResult, _require_finite, _stream, pow_neg
 from .partial_sums import _check_request, _prefix_sums
 
 _LN2 = log(2.0)
@@ -188,14 +188,6 @@ class Residual:
     scale: float
 
 
-def _pow_one_minus(x: int, s: complex) -> complex:
-    # x**(1-s) = exp(-(s-1) log x) through the shared kernel.  (2n)**(1-s) from
-    # log(2n) is a different path from 2**(1-s) * n**(1-s), so the quadrature
-    # check is not the band form in disguise.
-    re, im, _ = _exp_neg_parts(s.real - 1.0, s.imag, log(x))
-    return complex(re, im)
-
-
 def _residual_ladder(ladder: Sequence[int], s: complex) -> list[tuple[Residual, Residual, Residual]]:
     """The three residuals at each rung n of a doubling ladder (each entry twice the last).
 
@@ -209,13 +201,15 @@ def _residual_ladder(ladder: Sequence[int], s: complex) -> list[tuple[Residual, 
     s = _require_finite(s)
     stops = sorted(set(ladder) | {2 * n for n in ladder})
     snap = dict(zip(stops, _prefix_sums(s, stops)))
-    c = _pow_one_minus(2, s)
+    c = pow_neg(2, s - 1.0)  # 2**(1-s)
     integral = integral_closed_form(s)
     out = []
     for n, dn in zip(ladder, _defects([s.real], s.imag, ladder)[0]):
         half = snap[n][0]
         zeta2n, eta2n, band = snap[2 * n]
-        w = _pow_one_minus(2 * n, s)
+        # (2n)**(1-s) from log(2n) is a different path from 2**(1-s) * n**(1-s),
+        # so the quadrature check is not the band form in disguise.
+        w = pow_neg(2 * n, s - 1.0)
         sides = (  # (lhs, rhs, scale) of cancellation, band and quadrature
             (eta2n.value - zeta2n.value, -(c * half.value),
              eta2n.abs_sum + zeta2n.abs_sum + abs(c) * half.abs_sum),
@@ -229,20 +223,9 @@ def _residual_ladder(ladder: Sequence[int], s: complex) -> list[tuple[Residual, 
 
 
 def residual_suite(n: int, s: complex) -> tuple[Residual, Residual, Residual]:
-    """The cancellation, band and quadrature residuals at n, from one pass to 2n."""
+    """The cancellation, band and quadrature residuals at n, from one pass to 2n.
+
+    Index the triple for one identity; ``[2].rhs`` is eta_{2n}(s) reassembled
+    from the quadrature form (integral, defect and (2n)**(1-s)).
+    """
     return _residual_ladder([n], s)[0]
-
-
-def residual_cancellation(n: int, s: complex) -> Residual:
-    """Check eta_{2n} - zeta_{2n} = -2**(1-s) zeta_n (odd-index cancellation)."""
-    return residual_suite(n, s)[0]
-
-
-def residual_band(n: int, s: complex) -> Residual:
-    """Check eta_{2n} = (1 - 2**(1-s)) zeta_{2n} + 2**(1-s) * band_n."""
-    return residual_suite(n, s)[1]
-
-
-def residual_quadrature(n: int, s: complex) -> Residual:
-    """Check eta_{2n} = (1 - 2**(1-s)) zeta_{2n} + (2n)**(1-s) (integral - defect)."""
-    return residual_suite(n, s)[2]

@@ -32,7 +32,7 @@ class SumResult:
     value: complex
     err_bound: float
     terms: int
-    abs_sum: float = 0.0
+    abs_sum: float
 
 
 def _require_finite(s: complex) -> complex:

@@ -19,9 +19,9 @@ from math import fabs, fsum, pi
 from typing import Sequence
 
 from .decay import _validated_ladder
-from .identities import _LN2, _defects, _residual_ladder, residual_quadrature
+from .identities import _LN2, _defects, _residual_ladder
 from .kernel import _require_finite, pow_neg
-from .partial_sums import _prefix_sums
+from .partial_sums import _check_request, _prefix_sums
 
 #: Zero indices exposed by default; |t| grows linearly in k and large |t|
 #: needs finer exp/log error analysis than desk scale warrants.
@@ -32,6 +32,10 @@ DEFAULT_MAX_ACCEL_TERMS = 10_000
 
 #: Smallest acceptable accelerator target (binary64 floor with headroom).
 MIN_TARGET_TOL = 1e-13
+
+#: First rung and number of eliminations of the Richardson ladder.
+_RICHARDSON_START = 16
+_RICHARDSON_LEVELS = 8
 
 
 class ToleranceNotReached(ArithmeticError):
@@ -140,7 +144,8 @@ def eta_reference(
     factor of four; the loop stops once that bound falls below half the
     target.  If the bound cannot be certified within ``max_terms``
     transformed terms, ToleranceNotReached is raised: no silently
-    inaccurate value is ever returned.
+    inaccurate value is ever returned.  The head, about |t| terms, is held
+    in memory, so one over DEFAULT_MAX_TERMS raises ValueError.
     """
     s = _require_finite(s)
     if s.real <= 0.0:
@@ -151,6 +156,7 @@ def eta_reference(
         )
 
     head = max(8, int(fabs(s.imag)) + 1)
+    _check_request(head)
     head_terms = [
         _oracle_term(n, s) if n % 2 == 1 else -_oracle_term(n, s) for n in range(1, head + 1)
     ]
@@ -193,43 +199,26 @@ def eta_reference(
     )
 
 
-def eta_reconstructed(n: int, s: complex) -> complex:
-    """eta_{2n}(s) reassembled from the quadrature form of the identity.
-
-    Exercises the closed-form integral, the defect, and the independently
-    evaluated (2n)**(1-s) factor instead of direct alternating summation.
-    """
-    return residual_quadrature(n, s).rhs
-
-
-def eta_richardson(
-    s: complex,
-    *,
-    start: int = 16,
-    levels: int = 8,
-    via_identity: bool = False,
-) -> complex:
+def eta_richardson(s: complex, *, via_identity: bool = False) -> complex:
     """Richardson-extrapolated even partial sums of the alternating series.
 
     The truncation error of eta_{2m}(s) expands in powers m**-(s+j), so a
-    doubling ladder m = start * 2**i admits elimination with the exact
+    doubling ladder m = 16, 32, ..., 4096 admits elimination with the exact
     factors 2**-(s+j).  With Re(s) > 0 the denominators stay away from
     zero.  This is the deliberately crude guard oracle: slower convergence
     than eta_reference, but a completely different mechanism.  With
-    ``via_identity`` the ladder values come from eta_reconstructed instead
-    of direct summation, exercising the quadrature-form assembly.
+    ``via_identity`` the ladder values are the right sides of the quadrature
+    residuals instead of direct sums, exercising the quadrature-form assembly.
     """
     s = _require_finite(s)
     if s.real <= 0.0:
         raise ValueError(f"need Re(s) > 0 for the alternating series, got {s!r}")
-    if start < 1 or levels < 1:
-        raise ValueError("start and levels must be positive")
-    ladder = [start * (1 << i) for i in range(levels + 1)]
+    ladder = [_RICHARDSON_START << i for i in range(_RICHARDSON_LEVELS + 1)]
     if via_identity:
         values = [quad.rhs for _, _, quad in _residual_ladder(ladder, s)]
     else:
         values = _eta_ladder(s, ladder)
-    for j in range(levels):
+    for j in range(_RICHARDSON_LEVELS):
         r = pow_neg(2, s + j)  # 2**-(s+j)
         values = [(values[i + 1] - r * values[i]) / (1.0 - r) for i in range(len(values) - 1)]
     return values[0]

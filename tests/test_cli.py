@@ -21,6 +21,16 @@ def run_cli(capsys, *argv):
     return code, out
 
 
+def run_capped(argv):
+    # A regression in these cases loops or eats memory: run the CLI in a
+    # child capped in time and address space.
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))
+
+    return subprocess.run([sys.executable, "-m", "altzeta", *argv], capture_output=True,
+                          text=True, timeout=60, preexec_fn=cap_memory)
+
+
 def parse_csv(text):
     lines = [ln for ln in text.splitlines() if not ln.startswith("#")]
     rows = list(csv.reader(io.StringIO("\n".join(lines))))
@@ -166,6 +176,14 @@ class TestSweep:
         assert code == 2
         assert "strictly inside" in captured.err
 
+    def test_grid_over_term_cap_exits_two(self):
+        # 8e6 sigmas times 4096 nodes: rejected before the grid is built.
+        proc = run_capped(["sweep", "--sigma-min", "0.1", "--sigma-max", "0.9",
+                           "--sigma-step", "1e-7"])
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "exceeds the configured limit" in proc.stderr
+
 
 class TestOutput:
     def test_out_flag_writes_file(self, capsys, tmp_path):
@@ -268,13 +286,8 @@ class TestRejectedInputs:
         ["converge", "--sigma", "0.5", "--n", "-3"],
     ])
     def test_ladder_start_below_one_exits_two(self, argv):
-        # Such a ladder never reaches --n-max, so a regression loops or eats
-        # memory: run it in a child capped in time and address space.
-        def cap_memory():
-            resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))
-
-        proc = subprocess.run([sys.executable, "-m", "altzeta", *argv], capture_output=True,
-                              text=True, timeout=60, preexec_fn=cap_memory)
+        # Such a ladder never reaches --n-max.
+        proc = run_capped(argv)
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert "must be positive" in proc.stderr

@@ -11,12 +11,10 @@ from altzeta.identities import (
     SINGULARITY_THRESHOLD,
     _integral_direct,
     _integral_series,
+    _residual_ladder,
     _riemann_ladder,
     defect,
     integral_closed_form,
-    residual_band,
-    residual_cancellation,
-    residual_quadrature,
     residual_suite,
     riemann_sum,
 )
@@ -197,47 +195,46 @@ def _check(residual, tol):
 
 class TestResiduals:
     def test_cancellation_integer_point_exact(self):
-        r = residual_cancellation(1, complex(0.0, 0.0))
+        r = residual_suite(1, complex(0.0, 0.0))[0]
         assert r.lhs == complex(-2.0, 0.0)
         assert r.rhs == complex(-2.0, 0.0)
         assert r.abs_diff == 0.0
 
     def test_cancellation_harmonic(self):
-        _check(residual_cancellation(5, complex(1.0, 0.0)), 1e-14)
+        _check(residual_suite(5, complex(1.0, 0.0))[0], 1e-14)
 
     def test_cancellation_off_axis(self):
-        _check(residual_cancellation(100, complex(0.5, 14.1)), 1e-12)
+        _check(residual_suite(100, complex(0.5, 14.1))[0], 1e-12)
 
     def test_band_integer_point_exact(self):
-        assert residual_band(1, complex(0.0, 0.0)).abs_diff == 0.0
+        assert residual_suite(1, complex(0.0, 0.0))[1].abs_diff == 0.0
 
     def test_band_at_one_vanishing_factor(self):
-        r = residual_band(1, complex(1.0, 0.0))
+        r = residual_suite(1, complex(1.0, 0.0))[1]
         assert r.lhs == complex(0.5, 0.0)
         _check(r, 1e-15)
 
     def test_band_complex_point(self):
-        _check(residual_band(64, complex(2.0, 3.0)), 1e-12)
+        _check(residual_suite(64, complex(2.0, 3.0))[1], 1e-12)
 
     def test_quadrature_at_one(self):
         # eta_2(1) = 1/2 = log 2 - defect_1(1)
-        r = residual_quadrature(1, complex(1.0, 0.0))
+        r = residual_suite(1, complex(1.0, 0.0))[2]
         assert r.lhs == complex(0.5, 0.0)
         assert r.abs_diff <= 1e-15
 
     def test_quadrature_integer_point(self):
-        assert residual_quadrature(1, complex(0.0, 0.0)).abs_diff <= 1e-15
+        assert residual_suite(1, complex(0.0, 0.0))[2].abs_diff <= 1e-15
 
     def test_quadrature_growing_prefactor(self):
-        _check(residual_quadrature(1000, complex(0.5, 0.0)), 1e-11)
+        _check(residual_suite(1000, complex(0.5, 0.0))[2], 1e-11)
 
-    def test_suite_matches_individual_calls_bit_for_bit(self):
+    def test_suite_matches_ladder_rung_bit_for_bit(self):
+        # repr round-trips every float and tells signed zeros apart.
         for s in (complex(0.5, 14.1), complex(-2.0, 1.0), complex(1.0, T1)):
             for n in (1, 17, 256):
-                cancel, band, quad = residual_suite(n, s)
-                assert cancel == residual_cancellation(n, s)
-                assert band == residual_band(n, s)
-                assert quad == residual_quadrature(n, s)
+                rung = _residual_ladder([n, 2 * n, 4 * n], s)[0]
+                assert repr(residual_suite(n, s)) == repr(rung)
 
     @given(n=SMALL_N, sigma=SIGMAS, t=TS)
     @settings(max_examples=60, deadline=None)

@@ -1,17 +1,20 @@
 """Zero points, the collapsed identity, the limit demos, and the oracles."""
 
 import math
+import resource
+import subprocess
+import sys
 
 import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from altzeta.identities import residual_suite
 from altzeta.kernel import MACHINE_EPSILON, pow_neg
 from altzeta.zeros import (
     ToleranceNotReached,
     eta_limit_demo,
-    eta_reconstructed,
     eta_reference,
     eta_richardson,
     zero_check,
@@ -157,6 +160,20 @@ class TestEtaReference:
         with pytest.raises(ValueError, match="target_abs_tol"):
             eta_reference(complex(1.0, 0.0), 1e-14)
 
+    def test_rejects_head_over_term_cap(self):
+        # The head grows with |t| and is held as a list; without the cap this
+        # call fills memory, so it runs in a child capped in time and address space.
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))
+
+        code = ("from altzeta import eta_reference\n"
+                "try:\n    eta_reference(complex(0.5, 1e8), 1e-10)\n"
+                "except ValueError as exc:\n    print(exc)\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=60, preexec_fn=cap_memory)
+        assert proc.returncode == 0, proc.stderr
+        assert "exceeds the configured limit" in proc.stdout
+
     def test_explicit_failure_when_budget_too_small(self):
         with pytest.raises(ToleranceNotReached):
             eta_reference(complex(0.2, 30.0), 1e-13, max_terms=6)
@@ -192,7 +209,7 @@ class TestRichardsonGuard:
         for s in (complex(0.5, 14.1), complex(2.0, 3.0)):
             for n in (10, 100):
                 direct = eta_partial(2 * n, s).value
-                assert abs(eta_reconstructed(n, s) - direct) <= 1e-12
+                assert abs(residual_suite(n, s)[2].rhs - direct) <= 1e-12
 
     def test_rejects_left_half_plane(self):
         with pytest.raises(ValueError):
