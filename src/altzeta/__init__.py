@@ -18,7 +18,6 @@ from .decay import (
 )
 from .identities import (
     Residual,
-    SINGULARITY_THRESHOLD,
     defect,
     integral_closed_form,
     residual_suite,
@@ -47,7 +46,6 @@ __all__ = [
     "DEFAULT_MAX_TERMS",
     "MACHINE_EPSILON",
     "Residual",
-    "SINGULARITY_THRESHOLD",
     "StripSample",
     "SumResult",
     "ToleranceNotReached",

@@ -118,16 +118,19 @@ def _cmd_converge(args) -> tuple[list[str], list[str], list[list], bool]:
 
 
 def _cmd_sweep(args) -> tuple[list[str], list[str], list[list], bool]:
-    if args.sigma_step <= 0.0:
-        raise ValueError(f"--sigma-step must be positive, got {args.sigma_step}")
-    if args.sigma_max < args.sigma_min:
-        raise ValueError("--sigma-max must not be below --sigma-min")
-    count = int(floor((args.sigma_max - args.sigma_min) / args.sigma_step + 1e-9)) + 1
+    if not 0.0 < args.sigma_step < inf:  # nan fails every comparison, so it is rejected too
+        raise ValueError(f"--sigma-step must be positive and finite, got {args.sigma_step}")
+    if not -inf < args.sigma_min <= args.sigma_max < inf:
+        raise ValueError("need finite --sigma-min <= --sigma-max, "
+                         f"got {args.sigma_min} and {args.sigma_max}")
     ladder = _doubling_ladder(args.n, args.n_max)
-    # The pass forms one magnitude per node and sigma; cap them before the grid is built.
-    if count * ladder[-1] > DEFAULT_MAX_TERMS:
-        raise ValueError(f"a sweep of {count} sigmas to n = {ladder[-1]} exceeds "
-                         f"the configured limit of {DEFAULT_MAX_TERMS} terms")
+    # One magnitude per node and sigma: cap them before floor, which an inf span would overflow.
+    most = DEFAULT_MAX_TERMS // ladder[-1]  # span < most is count * n_max <= the cap
+    span = (args.sigma_max - args.sigma_min) / args.sigma_step + 1e-9
+    if span >= most:
+        raise ValueError(f"--sigma-step {args.sigma_step} gives over {most} sigmas to n = "
+                         f"{ladder[-1]}, which exceeds the configured limit of {DEFAULT_MAX_TERMS} terms")
+    count = int(floor(span)) + 1
     grid = [args.sigma_min + i * args.sigma_step for i in range(count)]
     comments = [
         f"# altzeta sweep: sigma={_fmt(args.sigma_min)}..{_fmt(args.sigma_max)} "

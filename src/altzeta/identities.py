@@ -30,12 +30,6 @@ from .partial_sums import _check_request, _prefix_sums
 
 _LN2 = log(2.0)
 
-#: |s - 1| below which the closed-form integral switches to its series branch.
-SINGULARITY_THRESHOLD = 1e-4
-
-#: Series terms are added until the next one drops below this relative size.
-_SERIES_CUTOFF = 1e-20
-
 
 def _expm1_complex(z: complex) -> complex:
     """exp(z) - 1 without cancellation for small z.
@@ -53,33 +47,17 @@ def _expm1_complex(z: complex) -> complex:
     return complex(expm1(x) * cos(ay) - 2.0 * half * half, exp(x) * sn)
 
 
-def _integral_direct(s: complex) -> complex:
-    # (1 - 2**(1-s)) / (s - 1) with the numerator formed cancellation-free.
-    u = (s - 1.0) * _LN2
-    return -_expm1_complex(-u) / (s - 1.0)
-
-
-def _integral_series(s: complex) -> complex:
-    # log2 * sum_{m>=0} (-u)**m / (m+1)!  with u = (s-1) log2,
-    # i.e. log2 * (1 - exp(-u))/u continued through u = 0.
-    u = (s - 1.0) * _LN2
-    total = complex(1.0, 0.0)
-    term = complex(1.0, 0.0)
-    m = 0
-    while True:
-        m += 1
-        term = term * (-u) / (m + 1)
-        total += term
-        if abs(term) < _SERIES_CUTOFF * abs(total):
-            return _LN2 * total
-
-
 def integral_closed_form(s: complex) -> complex:
-    """The integral of (1+x)**(-s) over [0,1]; log 2 at the removable s = 1."""
+    """The integral of (1+x)**(-s) over [0,1]; log 2 at the removable s = 1.
+
+    For |u| < 2**-27, u = (s-1) log 2, the two-term series log 2 (1 - u/2) is within half an
+    ulp; it covers s = 1 (0/0) and a subnormal u, where the quotient below loses bits.
+    """
     s = _require_finite(s)
-    if abs(s - 1.0) < SINGULARITY_THRESHOLD:
-        return _integral_series(s)
-    return _integral_direct(s)
+    u = (s - 1.0) * _LN2
+    if abs(u) < 2.0 ** -27:  # the next term, log 2 * u**2/6, is under half an ulp
+        return _LN2 * (1.0 - 0.5 * u)
+    return -_expm1_complex(-u) / (s - 1.0)  # 1 - 2**(1-s) = -expm1(-u), free of cancellation
 
 
 def _divisor_chains(ladder: Sequence[int]) -> list[list[int]]:

@@ -66,14 +66,14 @@ class ZeroCheck:
     magnitude: float
 
 
-def zero_point(k: int, *, k_limit: int = DEFAULT_K_LIMIT) -> ZeroPoint:
+def zero_point(k: int) -> ZeroPoint:
     """The k-th zero point 1 + (2k*pi/log 2) i, k a nonzero integer."""
     if k == 0:
         raise ValueError(
             "excluded point: s = 1 is not a zero (the alternating series sums to log 2 there)"
         )
-    if abs(k) > k_limit:
-        raise ValueError(f"|k| = {abs(k)} exceeds the supported range {k_limit}")
+    if abs(k) > DEFAULT_K_LIMIT:
+        raise ValueError(f"|k| = {abs(k)} exceeds the supported range {DEFAULT_K_LIMIT}")
     t = (2.0 * pi * k) / _LN2
     return ZeroPoint(k, complex(1.0, t))
 

@@ -184,6 +184,21 @@ class TestSweep:
         assert proc.stdout == ""
         assert "exceeds the configured limit" in proc.stderr
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--sigma-step", "1e-320"),  # the grid count overflows a float
+        ("--sigma-max", "inf"),
+        ("--sigma-step", "nan"),
+        ("--sigma-min", "nan"),
+        ("--sigma-step", "inf"),
+    ])
+    def test_bad_grid_flag_is_named(self, capsys, flag, value):
+        grid = {"--sigma-min": "0.1", "--sigma-max": "0.9", "--sigma-step": "0.1", flag: value}
+        code = main(["sweep", *(x for item in grid.items() for x in item)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert flag in captured.err
+
 
 class TestOutput:
     def test_out_flag_writes_file(self, capsys, tmp_path):

@@ -34,6 +34,8 @@ CASES = [
     ("sweep_t-21.5", ["sweep", "--sigma-min", "0.05", "--sigma-max", "0.95",
                       "--sigma-step", "0.1", "--t=-21.5"], 0),
     ("converge_t3000", ["converge", "--sigma", "0.5", "--t", "3000"], 0),
+    # Subnormal |s-1|: the closed-form quotient loses bits there.
+    ("eval_t1e-310", ["eval", "--sigma", "1", "--t", "1e-310", "--n", "4"], 0),
 ]
 
 

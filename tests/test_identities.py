@@ -1,16 +1,16 @@
 """Integral closed form, quadrature, defect, and the three residual checks."""
 
+import cmath
 import math
+import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from altzeta.identities import (
-    SINGULARITY_THRESHOLD,
-    _integral_direct,
-    _integral_series,
     _residual_ladder,
     _riemann_ladder,
     defect,
@@ -53,13 +53,21 @@ class TestIntegralClosedForm:
     def test_value_at_two(self):
         assert integral_closed_form(complex(2.0, 0.0)) == complex(0.5, 0.0)
 
-    @pytest.mark.parametrize("factor", [1.0 - 1e-3, 1.0 + 1e-3])
-    @pytest.mark.parametrize(
-        "direction", [1.0, -1.0, 1.0j, -1.0j, (1.0 + 1.0j) / math.sqrt(2.0)]
-    )
-    def test_branches_agree_at_threshold(self, factor, direction):
-        s = 1.0 + SINGULARITY_THRESHOLD * factor * direction
-        assert abs(_integral_direct(s) - _integral_series(s)) <= 1e-14
+    def test_within_eight_ulp_near_one(self):
+        # Log-uniform 1e-320 <= |s-1| <= 1e-3 at any angle, across the switch
+        # to the two-term series and through subnormal s - 1, against mpmath.
+        rng = random.Random(6)
+        points = [1.0 + cmath.rect(10.0 ** rng.uniform(-320.0, -3.0), rng.uniform(-math.pi, math.pi))
+                  for _ in range(2000)]
+        points += [complex(1.0, 0.0), complex(1.0, 1e-310), complex(1.0, -5e-324),
+                   complex(1.0 + 2.0 ** -52, 0.0), complex(1.0, 1.0e-8), complex(1.0, 1.1e-8)]
+        with mpmath.workprec(200):
+            for s in points:
+                d = mpmath.mpc(s.real, s.imag) - 1
+                exact = -mpmath.expm1(-d * mpmath.log(2)) / d if d else mpmath.log(2)
+                got = integral_closed_form(s)
+                err = abs(mpmath.mpc(got.real, got.imag) - exact) / abs(exact)
+                assert err <= 8 * 2.0 ** -53, s  # 8 ulp of a value in [0.5, 1)
 
     @given(sigma=SIGMAS, t=TS)
     @settings(max_examples=100)

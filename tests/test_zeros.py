@@ -51,7 +51,6 @@ class TestZeroPoint:
         assert zero_point(16).k == 16
         with pytest.raises(ValueError, match="range"):
             zero_point(17)
-        assert zero_point(17, k_limit=32).k == 17
 
     @given(k=st.integers(min_value=1, max_value=16))
     def test_real_part_exactly_one(self, k):
