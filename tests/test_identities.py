@@ -69,6 +69,21 @@ class TestIntegralClosedForm:
                 err = abs(mpmath.mpc(got.real, got.imag) - exact) / abs(exact)
                 assert err <= 8 * 2.0 ** -53, s  # 8 ulp of a value in [0.5, 1)
 
+    @pytest.mark.parametrize("factor", [1.0 - 1e-3, 1.0 + 1e-3])
+    @pytest.mark.parametrize(
+        "direction", [1.0, -1.0, 1.0j, -1.0j, (1.0 + 1.0j) / math.sqrt(2.0)]
+    )
+    def test_branches_agree_at_threshold(self, factor, direction):
+        # Either side of |s-1| = 1e-4, the quotient agrees with the power series
+        # log 2 * sum_{m>=0} (-u)**m / (m+1)!, u = (s-1) log 2, continued through u = 0.
+        s = 1.0 + 1e-4 * factor * direction
+        u = (s - 1.0) * LN2
+        total = term = complex(1.0, 0.0)
+        for m in range(2, 12):
+            term = term * (-u) / m
+            total += term
+        assert abs(integral_closed_form(s) - LN2 * total) <= 1e-14
+
     @given(sigma=SIGMAS, t=TS)
     @settings(max_examples=100)
     def test_conjugation(self, sigma, t):
