@@ -11,7 +11,7 @@ draws no conclusions from them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp, fsum, log, sqrt
+from math import exp, fsum, inf, isfinite, log, sqrt
 from typing import Sequence
 
 from .identities import _defects
@@ -40,7 +40,10 @@ class StripSample:
 
 
 def _validated_ladder(n_ladder: Sequence[int]) -> list[int]:
-    ladder = [int(n) for n in n_ladder]
+    entries = list(n_ladder)
+    ladder = [int(n) for n in entries]
+    if ladder != entries:
+        raise ValueError(f"ladder entries must be integers, got {entries}")
     if len(ladder) < 3:
         raise ValueError(f"ladder too short: need at least 3 entries, got {len(ladder)}")
     if ladder[0] < 1:
@@ -69,6 +72,8 @@ def fit_decay(samples: Sequence[tuple[int, complex]]) -> DecayFit:
     if len(pairs) < 3:
         raise ValueError(f"need at least 3 samples to fit, got {len(pairs)}")
     for n, d in pairs:
+        if not (0 < n < inf and isfinite(abs(d))):
+            raise ValueError(f"cannot fit sample ({n!r}, {d!r}): need 0 < n < inf, finite defect")
         if abs(d) <= DEGENERACY_FLOOR:
             raise ValueError(
                 "defect at machine-noise level; increase s or decrease N "

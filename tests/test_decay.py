@@ -1,6 +1,7 @@
 """Decay instrumentation: ladders, log-log fits, and the strip sweep."""
 
 import math
+import re
 
 import pytest
 
@@ -35,6 +36,10 @@ class TestDefectLadder:
             defect_ladder(s, (4, 2, 8))
         with pytest.raises(ValueError, match="positive"):
             defect_ladder(s, (0, 1, 2))
+        # int() alone would truncate 16.7 to rung 16
+        with pytest.raises(ValueError, match="integers"):
+            defect_ladder(s, [16.7, 32, 64])
+        assert defect_ladder(s, [16.0, 32, 64]) == defect_ladder(s, [16, 32, 64])
 
 
 class TestFitDecay:
@@ -57,6 +62,16 @@ class TestFitDecay:
     def test_too_few_samples(self):
         with pytest.raises(ValueError, match="at least 3"):
             fit_decay([(16, complex(0.1, 0.0)), (32, complex(0.05, 0.0))])
+
+    @pytest.mark.parametrize("bad", [
+        (16, math.inf), (16, complex(math.nan, 0.0)), (16, complex(0.0, -math.inf)),
+        (0, 0.2), (-16, 0.2), (math.inf, 0.2), (math.nan, 0.2),
+    ])
+    def test_non_finite_or_non_positive_sample_rejected(self, bad):
+        # each would otherwise give beta = nan or a bare "math domain error"
+        samples = [bad, (32, complex(0.05, 0.0)), (64, complex(0.025, 0.0))]
+        with pytest.raises(ValueError, match=re.escape(f"sample {bad!r}")):
+            fit_decay(samples)
 
     def test_equal_n_rejected(self):
         with pytest.raises(ValueError):

@@ -28,8 +28,8 @@ SIGNATURES = {
     "defect_ladder": "(s, n_ladder)",
     "eta_limit_demo": "(k, n_ladder)",
     "eta_partial": "(n, s)",
-    "eta_reference": "(s, target_abs_tol, *, max_terms=10000)",
-    "eta_richardson": "(s, *, via_identity=False)",
+    "eta_reference": "(s, target_abs_tol)",
+    "eta_richardson": "(s)",
     "fit_decay": "(samples)",
     "integral_closed_form": "(s)",
     "pow_neg": "(n, s)",

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from altzeta import zeros
 from altzeta.identities import residual_suite
 from altzeta.kernel import MACHINE_EPSILON, pow_neg
 from altzeta.zeros import (
@@ -51,6 +52,15 @@ class TestZeroPoint:
         assert zero_point(16).k == 16
         with pytest.raises(ValueError, match="range"):
             zero_point(17)
+
+    def test_index_must_be_integral(self):
+        # k = 1.5 would give s = 1 + 13.597i, which is not a zero
+        for call in (lambda: zero_point(1.5), lambda: zero_check(1.5, 8),
+                     lambda: eta_limit_demo(-2.5, (1, 2, 4))):
+            with pytest.raises(ValueError, match="integer"):
+                call()
+        assert zero_point(16.0) == zero_point(16)
+        assert zero_check(2.0, 8) == zero_check(2, 8)
 
     @given(k=st.integers(min_value=1, max_value=16))
     def test_real_part_exactly_one(self, k):
@@ -139,6 +149,12 @@ class TestEtaLimitDemo:
         with pytest.raises(ValueError, match="increasing"):
             eta_limit_demo(1, (10, 10, 20))
 
+    def test_non_integral_ladder_rejected(self):
+        # int() alone would truncate 1.9 to rung 1
+        with pytest.raises(ValueError, match="integers"):
+            eta_limit_demo(1, [1.9, 4, 8])
+        assert eta_limit_demo(1, [2.0, 4, 8]) == eta_limit_demo(1, [2, 4, 8])
+
 
 class TestEtaReference:
     def test_log_two(self):
@@ -173,9 +189,10 @@ class TestEtaReference:
         assert proc.returncode == 0, proc.stderr
         assert "exceeds the configured limit" in proc.stdout
 
-    def test_explicit_failure_when_budget_too_small(self):
+    def test_explicit_failure_when_budget_too_small(self, monkeypatch):
+        monkeypatch.setattr(zeros, "DEFAULT_MAX_ACCEL_TERMS", 6)
         with pytest.raises(ToleranceNotReached):
-            eta_reference(complex(0.2, 30.0), 1e-13, max_terms=6)
+            eta_reference(complex(0.2, 30.0), 1e-13)
 
     @pytest.mark.parametrize("sigma", [0.2, 0.5, 1.0, 1.6, 3.0])
     @pytest.mark.parametrize("t", [0.0, -9.5, 14.1, 30.0])
@@ -195,18 +212,15 @@ class TestRichardsonGuard:
         s = complex(sigma, t)
         assert abs(eta_richardson(s) - mp_eta(s)) <= 1e-9
 
-    def test_identity_form_agrees_with_direct_form(self):
-        for s in (complex(0.5, 9.5), complex(1.0, T1), complex(2.3, -25.0)):
-            direct = eta_richardson(s)
-            assembled = eta_richardson(s, via_identity=True)
-            assert abs(direct - assembled) <= 1e-9
-
     def test_reconstructed_matches_direct_partial_sum(self):
-        # the quadrature-form assembly reproduces the plain partial sum
+        # the quadrature-form assembly reproduces the plain partial sum, also
+        # at the first and last rungs of the Richardson ladder
         from altzeta.partial_sums import eta_partial
 
-        for s in (complex(0.5, 14.1), complex(2.0, 3.0)):
-            for n in (10, 100):
+        points = (complex(0.5, 14.1), complex(2.0, 3.0), complex(0.5, 9.5),
+                  complex(1.0, T1), complex(2.3, -25.0))
+        for s in points:
+            for n in (10, 16, 100, 4096):
                 direct = eta_partial(2 * n, s).value
                 assert abs(residual_suite(n, s)[2].rhs - direct) <= 1e-12
 
@@ -216,7 +230,7 @@ class TestRichardsonGuard:
 
 
 class TestOracleAgreement:
-    """The two oracles and the identity-form reconstruction triangulate."""
+    """The accelerator and the Richardson guard agree."""
 
     GRID = [
         complex(sigma, t)
@@ -228,4 +242,3 @@ class TestOracleAgreement:
         for s in self.GRID:
             accelerated = eta_reference(s, 1e-11)
             assert abs(accelerated - eta_richardson(s)) <= 1e-9
-            assert abs(accelerated - eta_richardson(s, via_identity=True)) <= 1e-9
