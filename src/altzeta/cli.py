@@ -59,7 +59,8 @@ def _cmd_eval(args) -> tuple[list[str], list[str], list[list], bool]:
     comments = [f"# altzeta eval: sigma={_fmt(args.sigma)} t={_fmt(args.t)} n={args.n}"]
     header = ["n", "zeta_re", "zeta_im", "eta_re", "eta_im",
               "defect_re", "defect_im", "integral_re", "integral_im"]
-    z, e, _ = (r.value for r in _prefix_sums(s, [args.n])[0])
+    zeta, eta, _ = _prefix_sums(s, [args.n])[0]
+    z, e = zeta.value, eta.value
     d = defect(args.n, s)
     i = integral_closed_form(s)
     row = [args.n, z.real, z.imag, e.real, e.imag, d.real, d.imag, i.real, i.imag]

@@ -89,8 +89,7 @@ def _riemann_ladder(
     in the same order.  Results are therefore bit-identical to one-off
     calls.  State is O(rungs * sigmas); no node is stored.
     """
-    for n in ladder:
-        _check_request(n)
+    ladder = [_check_request(n) for n in ladder]
     for sigma in sigmas:
         _require_finite(complex(sigma, t))
     nt = -float(t)
@@ -178,7 +177,7 @@ def _residual_ladder(ladder: Sequence[int], s: complex) -> list[tuple[Residual, 
     """
     s = _require_finite(s)
     stops = sorted(set(ladder) | {2 * n for n in ladder})
-    snap = dict(zip(stops, _prefix_sums(s, stops)))
+    snap = dict(zip(stops, _prefix_sums(s, stops, blocks=True)))
     c = pow_neg(2, s - 1.0)  # 2**(1-s)
     integral = integral_closed_form(s)
     out = []

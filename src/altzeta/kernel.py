@@ -49,6 +49,8 @@ def _exp_neg_parts(sigma: float, t: float, ln_x: float) -> tuple[float, float, f
     conjugating the exponent negates the imaginary part bit for bit; the
     cosine is even, so the real part is untouched.  That makes conjugation
     symmetry of every downstream sum exact rather than libm-dependent.
+    This is the reference kernel: partial_sums._prefix_sums carries an
+    inline copy of the body, which a test holds equal to pow_neg bit for bit.
     """
     mag = exp(-sigma * ln_x)
     phase = -t * ln_x
@@ -59,16 +61,23 @@ def _exp_neg_parts(sigma: float, t: float, ln_x: float) -> tuple[float, float, f
     return mag * cos(ap), mag * sn, mag
 
 
+def _positive_int(n: int) -> int:
+    # n as an int if it is a whole number >= 1 (an integral float is one); inf % 1 is nan.
+    if not (n >= 1 and n % 1 == 0):
+        raise ValueError(f"n must be a positive integer, got {n!r}")
+    return int(n)
+
+
 def pow_neg(n: int, s: complex) -> complex:
     """n**(-s) computed as exp(-s log n) in the working precision.
 
-    n is a positive integer, so the real logarithm is the only branch.
-    Deterministic: identical inputs give bit-identical outputs.  Raises
-    OverflowError if n**(-Re(s)) exceeds the binary64 range; no non-finite
-    value is ever returned.
+    n is a positive integer, so the real logarithm is the only branch; an
+    integral float is taken as that integer, and any other n raises
+    ValueError.  Deterministic: identical inputs give bit-identical outputs.
+    Raises OverflowError if n**(-Re(s)) exceeds the binary64 range; no
+    non-finite value is ever returned.
     """
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
+    n = _positive_int(n)
     s = _require_finite(s)
     re, im, _ = _exp_neg_parts(s.real, s.imag, log(n))
     return complex(re, im)

@@ -10,73 +10,104 @@ all entire in s and all summed in ascending m with compensated
 accumulation, so results are bit-deterministic.  They, and every ladder of
 them in the package, are snapshots of one ascending pass (``_prefix_sums``):
 a Kahan state after n adds is exactly a fresh sum of those n terms.  Term
-counts are capped; exceeding the cap raises before any summing.
+counts are capped, and n must be a whole number (an integral float is
+taken as that integer); either failure raises ValueError before any summing.
 """
 
 from __future__ import annotations
 
-from math import fabs, log
+from math import cos, exp, fabs, log, sin
 from typing import Sequence
 
-from .kernel import SumResult, _exp_neg_parts, _kahan_result, _require_finite
+from .kernel import SumResult, _kahan_result, _positive_int, _require_finite
 
 #: Hard cap on the number of terms in any one sum.
 DEFAULT_MAX_TERMS = 10_000_000
 
 
-def _check_request(n: int) -> None:
-    if n < 1:
-        raise ValueError(f"N must be a positive integer, got {n}")
+def _check_request(n: int) -> int:
+    # n as an int, once it is a whole number of terms (an integral float is one) within the cap.
+    n = _positive_int(n)
     if n > DEFAULT_MAX_TERMS:
         raise ValueError(
             f"requested sum of {n} terms exceeds the configured limit of {DEFAULT_MAX_TERMS}"
         )
+    return n
 
 
 def _prefix_sums(
-    s: complex, stops: Sequence[int], first: int = 1
-) -> list[tuple[SumResult, SumResult, SumResult]]:
+    s: complex, stops: Sequence[int], first: int = 1, *, blocks: bool = False
+) -> list[tuple[SumResult, SumResult, SumResult | None]]:
     """One ascending pass over m = first..stops[-1] (stops strictly increasing).
 
-    Three compensated streams share each kernel value m**(-s): the zeta
-    prefix, the eta prefix with sign (-1)**(m-1), and the block since the
-    previous stop, summed as its own stream.  Returns a (zeta, eta, block)
-    triple of SumResults per stop; raises OverflowError at the first stop
+    Each kernel value m**(-s), the body of kernel._exp_neg_parts written
+    inline, feeds compensated float-pair streams with kernel._stream's update,
+    also inline: the zeta prefix, the eta prefix with sign (-1)**(m-1), and,
+    only with ``blocks``, the block since the previous stop, summed as its
+    own stream.  Returns a (zeta, eta, block) triple of SumResults per stop,
+    the block None without ``blocks``; raises OverflowError at the first stop
     where a sum or a magnitude tally has left the binary64 range.
     """
-    for stop in stops:
-        _check_request(stop - first + 1)
+    stops = [first - 1 + _check_request(stop - first + 1) for stop in stops]  # now ints
     s = _require_finite(s)
-    sigma, t = s.real, s.imag
-    zeta = eta = c_zeta = c_eta = 0j
+    neg_sigma, neg_t = -s.real, -s.imag
+    z_re = z_im = cz_re = cz_im = e_re = e_im = ce_re = ce_im = 0.0
     abs_re = abs_im = abs_sum = 0.0  # magnitudes are shared by zeta and eta
     out = []
     lo = first
     for stop in stops:
-        block = c_block = 0j
-        b_re = b_im = b_sum = 0.0
+        b_re = b_im = cb_re = cb_im = ab_re = ab_im = ab_sum = 0.0
         for m in range(lo, stop + 1):
-            re, im, mag = _exp_neg_parts(sigma, t, log(m))
-            z = complex(re, im)
-            # Kahan steps inlined; complex + and - act componentwise, so each
-            # is the real-pair update of kernel._stream's add.
-            y = z - c_zeta
-            w = zeta + y
-            zeta, c_zeta = w, (w - zeta) - y
-            y = (z if m & 1 else -z) - c_eta
-            w = eta + y
-            eta, c_eta = w, (w - eta) - y
-            y = z - c_block
-            w = block + y
-            block, c_block = w, (w - block) - y
-            re, im = fabs(re), fabs(im)
-            abs_re, abs_im, abs_sum = abs_re + re, abs_im + im, abs_sum + mag
-            b_re, b_im, b_sum = b_re + re, b_im + im, b_sum + mag
+            ln = log(m)
+            mag = exp(neg_sigma * ln)
+            phase = neg_t * ln
+            ap = fabs(phase)
+            sn = sin(ap)
+            if phase < 0.0:
+                sn = -sn
+            re = mag * cos(ap)
+            im = mag * sn
+            y = re - cz_re
+            w = z_re + y
+            cz_re = (w - z_re) - y
+            z_re = w
+            y = im - cz_im
+            w = z_im + y
+            cz_im = (w - z_im) - y
+            z_im = w
+            if m & 1:
+                sr, si = re, im
+            else:
+                sr, si = -re, -im
+            y = sr - ce_re
+            w = e_re + y
+            ce_re = (w - e_re) - y
+            e_re = w
+            y = si - ce_im
+            w = e_im + y
+            ce_im = (w - e_im) - y
+            e_im = w
+            abs_re += fabs(re)
+            abs_im += fabs(im)
+            abs_sum += mag
+            if blocks:
+                y = re - cb_re
+                w = b_re + y
+                cb_re = (w - b_re) - y
+                b_re = w
+                y = im - cb_im
+                w = b_im + y
+                cb_im = (w - b_im) - y
+                b_im = w
+                ab_re += fabs(re)
+                ab_im += fabs(im)
+                ab_sum += mag
         prefix = stop - first + 1
         out.append((
-            _kahan_result(zeta, prefix, abs_re, abs_im, abs_sum),
-            _kahan_result(eta, prefix, abs_re, abs_im, abs_sum),
-            _kahan_result(block, stop - lo + 1, b_re, b_im, b_sum),
+            _kahan_result(complex(z_re, z_im), prefix, abs_re, abs_im, abs_sum),
+            _kahan_result(complex(e_re, e_im), prefix, abs_re, abs_im, abs_sum),
+            _kahan_result(complex(b_re, b_im), stop - lo + 1, ab_re, ab_im, ab_sum)
+            if blocks else None,
         ))
         lo = stop + 1
     return out
@@ -94,4 +125,5 @@ def eta_partial(n: int, s: complex) -> SumResult:
 
 def band_sum(n: int, s: complex) -> SumResult:
     """Sum over the band n+1..2n, the upper half of a 2n-term partial sum."""
+    n = _check_request(n)
     return _prefix_sums(s, [2 * n], first=n + 1)[0][0]

@@ -101,7 +101,7 @@ def _zero_ladder(point: ZeroPoint, ladder: Sequence[int]) -> list[ZeroCheck]:
 
 def zero_check(k: int, n: int) -> ZeroCheck:
     """Evaluate both sides of eta_{2n}(s_k) = -(n**(-it)) defect_n(s_k)."""
-    return _zero_ladder(zero_point(k), [n])[0]
+    return _zero_ladder(zero_point(k), [_check_request(n)])[0]
 
 
 def eta_limit_demo(k: int, n_ladder: Sequence[int]) -> list[tuple[int, float]]:
@@ -142,8 +142,9 @@ def eta_reference(s: complex, target_abs_tol: float) -> complex:
     factor of four; the loop stops once that bound falls below half the
     target.  If the bound cannot be certified within DEFAULT_MAX_ACCEL_TERMS
     transformed terms, ToleranceNotReached is raised: no silently
-    inaccurate value is ever returned.  The head, about |t| terms, is held
-    in memory, so one over DEFAULT_MAX_TERMS raises ValueError.
+    inaccurate value is ever returned.  The head, about |t| terms, is
+    summed in two streamed passes, one per component, so memory stays
+    constant; one over DEFAULT_MAX_TERMS raises ValueError.
     """
     s = _require_finite(s)
     if s.real <= 0.0:
@@ -153,12 +154,13 @@ def eta_reference(s: complex, target_abs_tol: float) -> complex:
             f"target_abs_tol must be at least {MIN_TARGET_TOL}, got {target_abs_tol}"
         )
 
-    head = max(8, int(fabs(s.imag)) + 1)
-    _check_request(head)
-    head_terms = [
-        _oracle_term(n, s) if n % 2 == 1 else -_oracle_term(n, s) for n in range(1, head + 1)
-    ]
-    head_value = complex(fsum(z.real for z in head_terms), fsum(z.imag for z in head_terms))
+    head = _check_request(max(8, int(fabs(s.imag)) + 1))
+
+    def head_terms():  # complex.__pow__ is deterministic, so both passes see the same terms
+        return (_oracle_term(n, s) if n % 2 == 1 else -_oracle_term(n, s)
+                for n in range(1, head + 1))
+
+    head_value = complex(fsum(z.real for z in head_terms()), fsum(z.imag for z in head_terms()))
 
     row: list[complex] = []  # current antidiagonal of the averaging table
     partial = complex(0.0, 0.0)

@@ -1,13 +1,14 @@
 """Partial-sum contracts: values, the splitting identity, conjugation."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from altzeta.identities import riemann_sum
+from altzeta.identities import defect, residual_suite, riemann_sum
 from altzeta.kernel import MACHINE_EPSILON, pow_neg, sum_fixed_order
 from altzeta.partial_sums import (
     DEFAULT_MAX_TERMS,
@@ -16,6 +17,7 @@ from altzeta.partial_sums import (
     eta_partial,
     zeta_partial,
 )
+from altzeta.zeros import zero_check
 
 SIGMAS = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
 TS = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
@@ -89,7 +91,11 @@ class TestValues:
         ladder = (1, 2, 4, 8, 16, 32, 64, 128)
         stops = ladder + (256,)
         for s in (complex(0.5, 14.1), complex(1.0, -9.064720283654388), complex(-2.0, 0.0)):
-            snap = dict(zip(stops, _prefix_sums(s, stops)))
+            snap = dict(zip(stops, _prefix_sums(s, stops, blocks=True)))
+            # without the block stream the zeta and eta snapshots are the same, bit for bit
+            for stop, (zeta, eta, block) in zip(stops, _prefix_sums(s, stops)):
+                assert repr((zeta, eta)) == repr(snap[stop][:2])
+                assert block is None
             for n in ladder:
                 want_zeta = fresh(s, 1, n, False)
                 want_eta = fresh(s, 1, 2 * n, True)
@@ -105,6 +111,19 @@ class TestValues:
                     assert got.value == want.value
                     assert got.err_bound == want.err_bound
                     assert got.terms == want.terms
+
+    @pytest.mark.parametrize("t", [-3.7, 0.0, -0.0, 1e6 + 0.3, -1e6])
+    def test_inline_kernel_matches_pow_neg(self, t):
+        # A one-term pass reads the inlined kernel at m alone.  A Kahan sum
+        # from +0.0 turns a -0.0 term into +0.0, so == and not repr.
+        rng = random.Random(7)
+        for _ in range(200):
+            m = rng.randint(1, 10**7)
+            s = complex(rng.uniform(-5.0, 5.0), t)
+            zeta, eta, _ = _prefix_sums(s, [m], first=m)[0]
+            term = pow_neg(m, s)
+            assert zeta.value == term
+            assert eta.value == (term if m % 2 else -term)
 
 
 class TestContracts:
@@ -123,6 +142,17 @@ class TestContracts:
         for fn in (zeta_partial, eta_partial):
             with pytest.raises(OverflowError):
                 fn(10**4, complex(-77.0, 0.0))
+
+    @pytest.mark.parametrize("fn", [
+        zeta_partial, eta_partial, band_sum, riemann_sum, defect, residual_suite,
+        pytest.param(lambda n, s: zero_check(1, n), id="zero_check"), pow_neg,
+    ])
+    def test_integral_float_n_works_other_n_is_named(self, fn):
+        # One rule for every n: a whole number of terms, also as a float.
+        s = complex(0.5, 14.1)
+        assert fn(16.0, s) == fn(16, s)
+        with pytest.raises(ValueError, match="n must be a positive integer, got 2.5"):
+            fn(2.5, s)
 
     def test_terms_field_counts_terms(self):
         s = complex(2.0, 3.0)
