@@ -30,7 +30,6 @@ from .zeros import (
     ToleranceNotReached,
     ZeroCheck,
     ZeroPoint,
-    eta_limit_demo,
     eta_reference,
     eta_richardson,
     zero_check,
@@ -54,7 +53,6 @@ __all__ = [
     "band_sum",
     "defect",
     "defect_ladder",
-    "eta_limit_demo",
     "eta_partial",
     "eta_reference",
     "eta_richardson",

@@ -2,9 +2,9 @@
 
 Five commands: ``eval`` (one row of partial sums, defect, and integral),
 ``residuals`` (identity residuals over a doubling ladder, pass/fail exit),
-``zeros`` (zero demonstration at s_k with oracle cross-check), ``converge``
-(defect ladder plus decay fit at one s), and ``sweep`` (decay fits across
-the critical strip).
+``zeros`` (zero demonstration at s_k with oracle cross-check; k = 0 shows
+the limit log 2 at s = 1), ``converge`` (defect ladder plus decay fit at
+one s), and ``sweep`` (decay fits across the critical strip).
 
 Output is plain CSV: LF line endings, floats at 17 significant digits, a
 ``#`` comment header recording parameters and tolerances.  Exit codes:
@@ -24,7 +24,8 @@ from math import floor, inf
 from .decay import defect_ladder, fit_decay, strip_sweep
 from .identities import _residual_ladder, defect, integral_closed_form
 from .partial_sums import DEFAULT_MAX_TERMS, _prefix_sums
-from .zeros import MIN_TARGET_TOL, ToleranceNotReached, _zero_ladder, eta_reference, zero_point
+from .zeros import (MIN_TARGET_TOL, ToleranceNotReached, _limit, _zero_ladder, eta_reference,
+                    zero_point)
 
 DEFAULT_RESIDUAL_TOL = 1e-12
 DEFAULT_ZERO_TOL = 1e-10
@@ -86,17 +87,21 @@ def _cmd_residuals(args) -> tuple[list[str], list[str], list[list], bool]:
 
 def _cmd_zeros(args) -> tuple[list[str], list[str], list[list], bool]:
     point = zero_point(args.k)
+    limit = _limit(point)
     target = max(MIN_TARGET_TOL, 0.1 * args.tol)
     comments = [
         f"# altzeta zeros: k={args.k} t={_fmt(point.s.imag)} n_max={args.n_max}",
         f"# tol: final reference magnitude <= {_fmt(args.tol)} "
         f"(accelerator target {_fmt(target)}); ladder magnitudes must decrease",
     ]
+    if point.k == 0:  # s = 1 is no zero: each magnitude is a distance to eta(1)
+        comments.append("# limit: log 2; eta_abs = |eta - log 2|, defect_abs = |predicted - log 2|")
     header = ["stage", "n", "eta_abs", "identity_diff", "defect_abs"]
     checks = _zero_ladder(point, _doubling_ladder(DEFAULT_LADDER_START, args.n_max))
-    # |n**(-it)| = 1, so |predicted| is |defect|.
-    rows = [["ladder", c.n, c.magnitude, c.identity_diff, abs(c.predicted)] for c in checks]
-    ref = abs(eta_reference(point.s, target))
+    # The limit is 0 or the rotation n**(-it) is 1, so |predicted - limit| is |defect|.
+    rows = [["ladder", c.n, c.magnitude, c.identity_diff, abs(c.predicted - limit)]
+            for c in checks]
+    ref = abs(eta_reference(point.s, target) - limit)
     rows.append(["reference", "", ref, "", ""])
     decreasing = all(b.magnitude < a.magnitude for a, b in zip(checks, checks[1:]))
     return comments, header, rows, decreasing and ref <= args.tol
@@ -172,7 +177,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("zeros", parents=[out],
                        help="zero demonstration at s_k = 1 + 2k*pi*i/log 2")
-    p.add_argument("--k", type=int, required=True, help="nonzero zero index")
+    p.add_argument("--k", type=int, required=True, help="zero index; k = 0 is s = 1, limit log 2")
     p.add_argument("--n-max", type=int, default=4096, help="ladder top (default 4096)")
     p.add_argument("--tol", type=_tol, default=DEFAULT_ZERO_TOL,
                    help=f"bound on the reference magnitude (default {DEFAULT_ZERO_TOL})")

@@ -41,7 +41,8 @@ class StripSample:
 
 def _validated_ladder(n_ladder: Sequence[int]) -> list[int]:
     entries = list(n_ladder)
-    ladder = [int(n) for n in entries]
+    # A non-integral entry is dropped, so the lists differ; inf % 1 and nan % 1 are nan.
+    ladder = [int(n) for n in entries if n % 1 == 0]
     if ladder != entries:
         raise ValueError(f"ladder entries must be integers, got {entries}")
     if len(ladder) < 3:

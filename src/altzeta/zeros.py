@@ -1,16 +1,18 @@
-"""Zeros of the alternating zeta function on the line Re(s) = 1.
+"""Zeros of the alternating zeta function on the line Re(s) = 1, and s = 1.
 
-The factor 1 - 2**(1-s) vanishes at s_k = 1 + 2k*pi*i/log 2 for nonzero
-integer k, and there the quadrature identity collapses to
+At s_k = 1 + 2k*pi*i/log 2 (k an integer) the factor 1 - 2**(1-s) vanishes,
+and the quadrature identity collapses to
 
-    eta_{2n}(s_k) = -(n**(-it)) * defect_n(s_k),      t = 2k*pi/log 2,
+    eta_{2n}(s_k) = n**(-it) * (I(s_k) - defect_n(s_k)),      t = 2k*pi/log 2,
 
-whose right side has unit-modulus rotation times a quantity that dies like
-1/(4n).  This module enumerates the points, checks the collapsed identity,
-and demonstrates the limits eta(s_k) = 0 and eta(1) = log 2 numerically,
-cross-checked by two oracles: an Euler-transform accelerator that shares no
-summation code with the sums under test, and a Richardson extrapolator of the
-same ``_prefix_sums`` snapshots that those sums read.
+where the integral I(s_k) is 0 for k != 0 and log 2 at k = 0 (s = 1).  The
+right side is a unit-modulus rotation times the limit minus a defect that
+dies like 1/(4n), so one ladder shows both eta(s_k) = 0 and eta(1) = log 2.
+This module enumerates the points, checks the collapsed identity, and
+measures the distance to the limit, cross-checked by two oracles: an
+Euler-transform accelerator that shares no summation code with the sums
+under test, and a Richardson extrapolator of the same ``_prefix_sums``
+snapshots that those sums read.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from dataclasses import dataclass
 from math import fabs, fsum, pi
 from typing import Sequence
 
-from .decay import _validated_ladder
 from .identities import _LN2, _defects
 from .kernel import _require_finite, pow_neg
 from .partial_sums import _check_request, _prefix_sums
@@ -45,7 +46,7 @@ class ToleranceNotReached(ArithmeticError):
 
 @dataclass(frozen=True)
 class ZeroPoint:
-    """Index k (nonzero) and the point s = 1 + (2k*pi/log 2) i."""
+    """Index k and the point s = 1 + (2k*pi/log 2) i: a zero of eta, or s = 1 at k = 0."""
 
     k: int
     s: complex
@@ -53,10 +54,11 @@ class ZeroPoint:
 
 @dataclass(frozen=True)
 class ZeroCheck:
-    """One instance of the collapsed identity at a zero point.
+    """One instance of the collapsed identity at a point s_k.
 
-    ``identity_diff`` = |eta_value - predicted|; ``magnitude`` = |eta_value|,
-    the quantity that must shrink along an n-ladder for the zero demo.
+    ``identity_diff`` = |eta_value - predicted|; ``magnitude`` = |eta_value -
+    limit|, the distance to the limit (0 at a zero, log 2 at k = 0) that
+    must shrink along an n-ladder.
     """
 
     point: ZeroPoint
@@ -68,17 +70,18 @@ class ZeroCheck:
 
 
 def zero_point(k: int) -> ZeroPoint:
-    """The k-th zero point 1 + (2k*pi/log 2) i, k a nonzero integer."""
-    if k == 0:
-        raise ValueError(
-            "excluded point: s = 1 is not a zero (the alternating series sums to log 2 there)"
-        )
+    """The k-th point 1 + (2k*pi/log 2) i, k an integer; k = 0 gives s = 1."""
+    if not k % 1 == 0:  # inf % 1 and nan % 1 are nan
+        raise ValueError(f"k must be an integer, got {k!r}")
     if abs(k) > DEFAULT_K_LIMIT:
         raise ValueError(f"|k| = {abs(k)} exceeds the supported range {DEFAULT_K_LIMIT}")
-    if k != int(k):
-        raise ValueError(f"k must be an integer, got {k!r}")
     t = (2.0 * pi * k) / _LN2
     return ZeroPoint(int(k), complex(1.0, t))
+
+
+def _limit(point: ZeroPoint) -> float:
+    # eta(s_k), which is I(s_k) exactly: log 2 at s = 1, 0 at every zero.
+    return _LN2 if point.k == 0 else 0.0
 
 
 def _eta_ladder(s: complex, ladder: Sequence[int]) -> list[complex]:
@@ -89,31 +92,20 @@ def _eta_ladder(s: complex, ladder: Sequence[int]) -> list[complex]:
 def _zero_ladder(point: ZeroPoint, ladder: Sequence[int]) -> list[ZeroCheck]:
     # The collapsed identity at each entry of an increasing n-ladder.
     s = point.s
+    limit = _limit(point)
     checks = []
     defects = _defects([s.real], s.imag, ladder)[0]
     for n, eta_value, dn in zip(ladder, _eta_ladder(s, ladder), defects):
         rotation = pow_neg(n, complex(0.0, s.imag))  # n**(-it), unit modulus
-        predicted = -(rotation * dn)
+        predicted = rotation * (limit - dn)
         checks.append(ZeroCheck(point, n, eta_value, predicted,
-                                abs(eta_value - predicted), abs(eta_value)))
+                                abs(eta_value - predicted), abs(eta_value - limit)))
     return checks
 
 
 def zero_check(k: int, n: int) -> ZeroCheck:
-    """Evaluate both sides of eta_{2n}(s_k) = -(n**(-it)) defect_n(s_k)."""
+    """Evaluate both sides of eta_{2n}(s_k) = n**(-it) (I(s_k) - defect_n(s_k))."""
     return _zero_ladder(zero_point(k), [_check_request(n)])[0]
-
-
-def eta_limit_demo(k: int, n_ladder: Sequence[int]) -> list[tuple[int, float]]:
-    """Distances |eta_{2n}(s) - eta(s)| along an n-ladder at s = s_k.
-
-    k = 0 is the point s = 1, where the limit is log 2; every nonzero k is a
-    zero point s_k (validated by ``zero_point``), where the limit is 0.  Both
-    limits are the same specialization of the quadrature identity.
-    """
-    ladder = _validated_ladder(n_ladder)
-    s, limit = (complex(1.0, 0.0), _LN2) if k == 0 else (zero_point(k).s, 0.0)
-    return [(n, abs(eta - limit)) for n, eta in zip(ladder, _eta_ladder(s, ladder))]
 
 
 # ---------------------------------------------------------------------------

@@ -124,10 +124,10 @@ class TestZeros:
         assert float(dict(zip(header, ref[0]))["eta_abs"]) <= 1e-10
 
     def test_excluded_index_exits_two(self, capsys):
-        code = main(["zeros", "--k", "0", "--n-max", "64"])
+        code = main(["zeros", "--k", "17", "--n-max", "64"])
         captured = capsys.readouterr()
         assert code == 2
-        assert "excluded point" in captured.err
+        assert "exceeds the supported range" in captured.err
         assert captured.out == ""
 
     def test_conjugate_index_gives_identical_magnitudes(self, capsys):

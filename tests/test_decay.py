@@ -41,6 +41,12 @@ class TestDefectLadder:
             defect_ladder(s, [16.7, 32, 64])
         assert defect_ladder(s, [16.0, 32, 64]) == defect_ladder(s, [16, 32, 64])
 
+    @pytest.mark.parametrize("rung", [math.inf, -math.inf, math.nan])
+    def test_non_finite_rung_is_a_value_error(self, rung):
+        # int(inf) would raise OverflowError, and int(nan) would not name the ladder
+        with pytest.raises(ValueError, match="ladder entries must be integers"):
+            defect_ladder(complex(0.5, 3.0), [16, 32, rung])
+
 
 class TestFitDecay:
     def test_harmonic_point_has_unit_exponent(self):
@@ -129,6 +135,11 @@ class TestStripSweep:
     def test_non_increasing_grid_rejected(self):
         with pytest.raises(ValueError, match="increasing"):
             strip_sweep((0.5, 0.25), 0.0, (16, 32, 64))
+
+    @pytest.mark.parametrize("rung", [math.inf, math.nan])
+    def test_non_finite_rung_is_a_value_error(self, rung):
+        with pytest.raises(ValueError, match="ladder entries must be integers"):
+            strip_sweep((0.5,), 3.0, (16, 32, rung))
 
     def test_reproducible(self):
         ladder = (16, 32, 64, 128)

@@ -26,7 +26,6 @@ SIGNATURES = {
     "band_sum": "(n, s)",
     "defect": "(n, s)",
     "defect_ladder": "(s, n_ladder)",
-    "eta_limit_demo": "(k, n_ladder)",
     "eta_partial": "(n, s)",
     "eta_reference": "(s, target_abs_tol)",
     "eta_richardson": "(s)",
@@ -59,7 +58,7 @@ def _plain_signature(obj) -> str:
 
 def test_exported_names_pinned():
     assert sorted(altzeta.__all__) == sorted([*SIGNATURES, *OTHER_NAMES])
-    assert len(altzeta.__all__) == 28
+    assert len(altzeta.__all__) == 27
     for name in altzeta.__all__:
         assert hasattr(altzeta, name), name
 

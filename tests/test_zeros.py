@@ -1,4 +1,4 @@
-"""Zero points, the collapsed identity, the limit demos, and the oracles."""
+"""Zero points, the collapsed identity, both of its limits, and the oracles."""
 
 import math
 import resource
@@ -12,11 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from altzeta import zeros
-from altzeta.identities import residual_suite
+from altzeta.identities import defect, residual_suite
 from altzeta.kernel import MACHINE_EPSILON, pow_neg
+from altzeta.partial_sums import eta_partial
 from altzeta.zeros import (
     ToleranceNotReached,
-    eta_limit_demo,
+    ZeroCheck,
+    ZeroPoint,
     eta_reference,
     eta_richardson,
     zero_check,
@@ -45,9 +47,9 @@ class TestZeroPoint:
         assert b.s.real == a.s.real
         assert b.s.imag == -a.s.imag
 
-    def test_zero_index_excluded(self):
-        with pytest.raises(ValueError, match="excluded point"):
-            zero_point(0)
+    def test_zero_index_is_s_equals_one(self):
+        # s = 1 is no zero, but the same collapsed identity reaches eta(1) = log 2 there
+        assert zero_point(0) == ZeroPoint(0, 1 + 0j)
 
     def test_k_limit(self):
         assert zero_point(16).k == 16
@@ -57,11 +59,18 @@ class TestZeroPoint:
     def test_index_must_be_integral(self):
         # k = 1.5 would give s = 1 + 13.597i, which is not a zero
         for call in (lambda: zero_point(1.5), lambda: zero_check(1.5, 8),
-                     lambda: eta_limit_demo(-2.5, (1, 2, 4))):
+                     lambda: zero_check(-2.5, 4)):
             with pytest.raises(ValueError, match="integer"):
                 call()
         assert zero_point(16.0) == zero_point(16)
         assert zero_check(2.0, 8) == zero_check(2, 8)
+
+    @pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf, 16.5, -17.5])
+    def test_non_integral_index_named_before_range(self, k):
+        # int(nan) would say "cannot convert float NaN to integer", and the
+        # range check would blame 16.5 for its size rather than its fraction
+        with pytest.raises(ValueError, match=f"k must be an integer, got {k!r}"):
+            zero_point(k)
 
     @given(k=st.integers(min_value=1, max_value=16))
     def test_real_part_exactly_one(self, k):
@@ -126,35 +135,37 @@ class TestZeroCheck:
         assert b.identity_diff == a.identity_diff
         assert b.magnitude == a.magnitude
 
+    @pytest.mark.parametrize("k", [k for j in range(1, 17) for k in (j, -j)])
+    def test_zero_points_keep_the_vanishing_limit_formula(self, k):
+        # At k != 0 the limit is 0: the fields are the formula without it, bit for bit.
+        point = zero_point(k)
+        s = point.s
+        for n in (1, 7, 64, 1000):
+            eta = eta_partial(2 * n, s).value
+            predicted = -(pow_neg(n, complex(0.0, s.imag)) * defect(n, s))
+            expected = ZeroCheck(point, n, eta, predicted, abs(eta - predicted), abs(eta))
+            assert zero_check(k, n) == expected
+
 
 class TestEtaLimitDemo:
+    """Both limits along zero_check ladders: eta(1) = log 2 at k = 0, 0 elsewhere."""
+
+    # magnitude at k = 0, n = 1, 10, 100, as the former ladder-only limit
+    # function returned it: the distance |eta_2n(1) - log 2|
+    LOG_TWO_DISTANCES = (0.1931471805599453, 0.02437577738451735, 0.0024937500781211375)
+
     def test_sentinel_routes_to_log_two_limit(self):
-        rows = eta_limit_demo(0, (1, 10, 100))
-        assert rows[0][0] == 1
-        assert abs(rows[0][1] - (LN2 - 0.5)) <= math.ulp(LN2 - 0.5)
-        assert 0.023 <= rows[1][1] <= 0.026
-        assert 0.0024 <= rows[2][1] <= 0.0026
-        assert rows[0][1] > rows[1][1] > rows[2][1]
+        mags = [zero_check(0, n).magnitude for n in (1, 10, 100)]
+        assert tuple(mags) == self.LOG_TWO_DISTANCES
+        assert abs(mags[0] - (LN2 - 0.5)) <= math.ulp(LN2 - 0.5)
+        assert 0.023 <= mags[1] <= 0.026
+        assert 0.0024 <= mags[2] <= 0.0026
+        assert mags[0] > mags[1] > mags[2]
 
     def test_zero_demo_decreases(self):
-        rows = eta_limit_demo(1, (10, 100, 1000))
-        mags = [m for _, m in rows]
+        mags = [zero_check(1, n).magnitude for n in (10, 100, 1000)]
         assert mags[0] > mags[1] > mags[2]
         assert mags[-1] < 1e-3
-
-    def test_short_ladder_rejected(self):
-        with pytest.raises(ValueError, match="too short"):
-            eta_limit_demo(1, (5,))
-
-    def test_non_increasing_ladder_rejected(self):
-        with pytest.raises(ValueError, match="increasing"):
-            eta_limit_demo(1, (10, 10, 20))
-
-    def test_non_integral_ladder_rejected(self):
-        # int() alone would truncate 1.9 to rung 1
-        with pytest.raises(ValueError, match="integers"):
-            eta_limit_demo(1, [1.9, 4, 8])
-        assert eta_limit_demo(1, [2.0, 4, 8]) == eta_limit_demo(1, [2, 4, 8])
 
 
 class TestEtaReference:
