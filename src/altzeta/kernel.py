@@ -49,8 +49,11 @@ def _exp_neg_parts(sigma: float, t: float, ln_x: float) -> tuple[float, float, f
     conjugating the exponent negates the imaginary part bit for bit; the
     cosine is even, so the real part is untouched.  That makes conjugation
     symmetry of every downstream sum exact rather than libm-dependent.
-    This is the reference kernel: partial_sums._prefix_sums carries an
-    inline copy of the body, which a test holds equal to pow_neg bit for bit.
+    This is the reference kernel.  Both Dirichlet passes carry an inline
+    copy of the body, partial_sums._stream_sums and partial_sums._prefix_sums;
+    each takes the sine of |t| * ln_x unsigned and restores the sign once per
+    snapshot, since a compensated sum of negated terms is the negated sum.
+    A test holds each copy equal to pow_neg bit for bit.
     """
     mag = exp(-sigma * ln_x)
     phase = -t * ln_x

@@ -11,8 +11,8 @@ dies like 1/(4n), so one ladder shows both eta(s_k) = 0 and eta(1) = log 2.
 This module enumerates the points, checks the collapsed identity, and
 measures the distance to the limit, cross-checked by two oracles: an
 Euler-transform accelerator that shares no summation code with the sums
-under test, and a Richardson extrapolator of the same ``_prefix_sums``
-snapshots that those sums read.
+under test, and a Richardson extrapolator of the same single-stream
+``_stream_sums`` snapshots that the ladder reads.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Sequence
 
 from .identities import _LN2, _defects
 from .kernel import _require_finite, pow_neg
-from .partial_sums import _check_request, _prefix_sums
+from .partial_sums import _check_request, _stream_sums
 
 #: Zero indices exposed by default; |t| grows linearly in k and large |t|
 #: needs finer exp/log error analysis than desk scale warrants.
@@ -41,7 +41,7 @@ _RICHARDSON_LEVELS = 8
 
 
 class ToleranceNotReached(ArithmeticError):
-    """The accelerator could not certify the requested tolerance."""
+    """The accelerator's tail estimate did not reach the requested tolerance."""
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,7 @@ def _limit(point: ZeroPoint) -> float:
 
 def _eta_ladder(s: complex, ladder: Sequence[int]) -> list[complex]:
     # eta_{2n}(s) for each ladder entry n (increasing), from one ascending pass.
-    return [eta.value for _, eta, _ in _prefix_sums(s, [2 * n for n in ladder])]
+    return [eta.value for eta in _stream_sums(s, [2 * n for n in ladder], alternating=True)]
 
 
 def _zero_ladder(point: ZeroPoint, ladder: Sequence[int]) -> list[ZeroCheck]:
@@ -129,14 +129,20 @@ def eta_reference(s: complex, target_abs_tol: float) -> complex:
     A short head (long enough that tail phases rotate under a radian per
     step) is summed exactly; the tail is Euler-transformed by repeated
     averaging of its partial sums.  Transformed increments eventually decay
-    geometrically with ratio about one half, so the remainder is bounded by
-    geometric extrapolation of the observed increments, with a safety
-    factor of four; the loop stops once that bound falls below half the
-    target.  If the bound cannot be certified within DEFAULT_MAX_ACCEL_TERMS
-    transformed terms, ToleranceNotReached is raised: no silently
-    inaccurate value is ever returned.  The head, about |t| terms, is
-    summed in two streamed passes, one per component, so memory stays
-    constant; one over DEFAULT_MAX_TERMS raises ValueError.
+    geometrically with ratio about one half, so the remainder is estimated
+    by geometric extrapolation of the observed increments, with a safety
+    factor of four; the loop stops once that estimate falls below half the
+    target.  The estimate is a heuristic, not a bound, and the head terms
+    from complex.__pow__ carry a phase error that grows with |t|.  Tests
+    hold the error within the target, against mpmath, only for |t| <= 145
+    (the zero points with |k| <= 16); at Re(s) = 1/2 and target 1e-13 it
+    misses from t = 300 on (1.3e-13) without raising, and reads 1.6e-12 at
+    t = 3e3.  A certified tail bound is planned to replace it (ROADMAP.md,
+    item 1).  If the estimate does not fall below the target within
+    DEFAULT_MAX_ACCEL_TERMS transformed terms, ToleranceNotReached is
+    raised.  The head, about |t| terms, is summed in two streamed passes,
+    one per component, so memory stays constant; one over DEFAULT_MAX_TERMS
+    raises ValueError.
     """
     s = _require_finite(s)
     if s.real <= 0.0:

@@ -10,6 +10,7 @@ import sys
 
 import pytest
 
+import altzeta
 from altzeta.cli import _build_parser, main
 
 LN2 = math.log(2.0)
@@ -223,16 +224,13 @@ class TestOutput:
 
 
 class TestOnePass:
-    """Each command reads its partial sums from one ascending pass: one
-    kernel evaluation, and so one log(m), per term up to the largest index
-    it needs."""
+    """Each command and each library sum reads its partial sums from one
+    ascending pass: one kernel evaluation, and so one log(m), per term up to
+    the largest index it needs."""
 
-    @pytest.mark.parametrize("argv, calls", [
-        (["residuals", "--sigma", "0.5", "--t", "3", "--n-max", "64"], 128),
-        (["eval", "--sigma", "0.5", "--t", "3", "--n", "100"], 100),
-        (["zeros", "--k", "1", "--n-max", "64"], 128),
-    ])
-    def test_kernel_calls(self, capsys, monkeypatch, argv, calls):
+    @pytest.fixture
+    def log_calls(self, monkeypatch):
+        # A callable reading how many times the Dirichlet passes took log(m).
         from altzeta import partial_sums
 
         count = 0
@@ -244,9 +242,29 @@ class TestOnePass:
             return log(x)
 
         monkeypatch.setattr(partial_sums, "log", counting)
+        return lambda: count
+
+    @pytest.mark.parametrize("argv, calls", [
+        (["residuals", "--sigma", "0.5", "--t", "3", "--n-max", "64"], 128),
+        (["eval", "--sigma", "0.5", "--t", "3", "--n", "100"], 100),
+        (["zeros", "--k", "1", "--n-max", "64"], 128),
+    ])
+    def test_kernel_calls(self, capsys, log_calls, argv, calls):
         main(argv)
         capsys.readouterr()
-        assert count == calls
+        assert log_calls() == calls
+
+    @pytest.mark.parametrize("name, n, calls", [
+        ("eta_richardson", None, 8192),  # the largest rung, 4096, is eta_8192
+        ("zeta_partial", 300, 300),
+        ("eta_partial", 300, 300),
+        ("band_sum", 300, 300),
+    ])
+    def test_library_kernel_calls(self, log_calls, name, n, calls):
+        s = complex(0.5, 14.1)
+        fn = getattr(altzeta, name)
+        fn(s) if n is None else fn(n, s)
+        assert log_calls() == calls
 
     @pytest.mark.parametrize("argv, nodes", [
         (["converge", "--sigma", "0.5", "--t", "3"], 16384),

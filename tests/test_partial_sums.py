@@ -13,6 +13,7 @@ from altzeta.kernel import MACHINE_EPSILON, pow_neg, sum_fixed_order
 from altzeta.partial_sums import (
     DEFAULT_MAX_TERMS,
     _prefix_sums,
+    _stream_sums,
     band_sum,
     eta_partial,
     zeta_partial,
@@ -31,6 +32,22 @@ def rational_power_sum(ns, exponent, signs=None):
         sign = 1 if signs is None else signs[i]
         total += Fraction(sign) / Fraction(n) ** exponent
     return total
+
+
+def fresh_sum(s, lo, hi, alternating):
+    """sum_fixed_order of the explicit +-pow_neg terms lo..hi."""
+    return sum_fixed_order(
+        [-pow_neg(m, s) if alternating and m % 2 == 0 else pow_neg(m, s)
+         for m in range(lo, hi + 1)]
+    )
+
+
+def assert_same_sum(got, want):
+    # Bit for bit, signs of zeros included.  abs_sum differs: sum_fixed_order
+    # tallies abs(z), the passes the kernel magnitude.
+    assert repr(got.value) == repr(want.value)
+    assert repr(got.err_bound) == repr(want.err_bound)
+    assert got.terms == want.terms
 
 
 class TestValues:
@@ -74,56 +91,82 @@ class TestValues:
     def test_matches_generic_summation_bit_for_bit(self):
         # the fused loops must agree exactly with summing explicit +-pow_neg
         # terms, both as one-off sums and as snapshots of one ladder pass
-        # (abs_sum differs: sum_fixed_order tallies abs(z), the fused loops
-        # the kernel magnitude)
         s = complex(0.5, 14.1)
         n = 137
         via_kernel = sum_fixed_order([pow_neg(m, s) for m in range(1, n + 1)])
         assert zeta_partial(n, s).value == via_kernel.value
         assert zeta_partial(n, s).err_bound == via_kernel.err_bound
 
-        def fresh(s, lo, hi, alternating):
-            return sum_fixed_order(
-                [-pow_neg(m, s) if alternating and m % 2 == 0 else pow_neg(m, s)
-                 for m in range(lo, hi + 1)]
-            )
-
         ladder = (1, 2, 4, 8, 16, 32, 64, 128)
         stops = ladder + (256,)
         for s in (complex(0.5, 14.1), complex(1.0, -9.064720283654388), complex(-2.0, 0.0)):
             snap = dict(zip(stops, _prefix_sums(s, stops, blocks=True)))
+            zeta_snap = dict(zip(stops, _stream_sums(s, stops)))
+            eta_snap = dict(zip(stops, _stream_sums(s, stops, alternating=True)))
             # without the block stream the zeta and eta snapshots are the same, bit for bit
             for stop, (zeta, eta, block) in zip(stops, _prefix_sums(s, stops)):
                 assert repr((zeta, eta)) == repr(snap[stop][:2])
                 assert block is None
             for n in ladder:
-                want_zeta = fresh(s, 1, n, False)
-                want_eta = fresh(s, 1, 2 * n, True)
-                want_band = fresh(s, n + 1, 2 * n, False)
+                want_zeta = fresh_sum(s, 1, n, False)
+                want_eta = fresh_sum(s, 1, 2 * n, True)
+                want_band = fresh_sum(s, n + 1, 2 * n, False)
                 for got, want in (
                     (zeta_partial(n, s), want_zeta),
                     (snap[n][0], want_zeta),
+                    (zeta_snap[n], want_zeta),
                     (eta_partial(2 * n, s), want_eta),
                     (snap[2 * n][1], want_eta),
+                    (eta_snap[2 * n], want_eta),
                     (band_sum(n, s), want_band),
                     (snap[2 * n][2], want_band),
                 ):
-                    assert got.value == want.value
-                    assert got.err_bound == want.err_bound
-                    assert got.terms == want.terms
+                    assert_same_sum(got, want)
+
+    @given(
+        sigma=SIGMAS,
+        t=st.one_of(st.sampled_from([0.0, -0.0]), st.floats(min_value=-1e6, max_value=1e6)),
+        stops=st.lists(st.integers(min_value=1, max_value=300), min_size=1, max_size=6,
+                       unique=True).map(sorted),
+        first=st.integers(min_value=1, max_value=300),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_single_stream_pass_matches_dual_pass(self, sigma, t, stops, first):
+        # From m = 1 each single-stream snapshot is the dual pass's, in all
+        # four fields and in the signs of zeros.  From any first it is the
+        # fresh sum of those terms; its first snapshot is also the dual
+        # pass's block over the same terms.
+        s = complex(sigma, t)
+        dual = _prefix_sums(s, stops)
+        for alternating, stream in ((False, 0), (True, 1)):
+            got = _stream_sums(s, stops, alternating=alternating)
+            assert [repr(r) for r in got] == [repr(d[stream]) for d in dual]
+        shifted = [first - 1 + stop for stop in stops]
+        for alternating in (False, True):
+            got = _stream_sums(s, shifted, first, alternating=alternating)
+            for stop, result in zip(shifted, got):
+                assert_same_sum(result, fresh_sum(s, first, stop, alternating))
+        if first > 1:
+            block = _prefix_sums(s, [first - 1, shifted[0]], blocks=True)[1][2]
+            assert repr(_stream_sums(s, shifted[:1], first)[0]) == repr(block)
 
     @pytest.mark.parametrize("t", [-3.7, 0.0, -0.0, 1e6 + 0.3, -1e6])
     def test_inline_kernel_matches_pow_neg(self, t):
-        # A one-term pass reads the inlined kernel at m alone.  A Kahan sum
-        # from +0.0 turns a -0.0 term into +0.0, so == and not repr.
+        # Each loop with an inline kernel copy, read at m alone: the
+        # single-stream pass as a one-term sum from first = m, the dual pass
+        # as its one-term blocks at m = 1..300.  A Kahan sum from +0.0 turns
+        # a -0.0 term into +0.0, so == and not repr.
         rng = random.Random(7)
         for _ in range(200):
             m = rng.randint(1, 10**7)
             s = complex(rng.uniform(-5.0, 5.0), t)
-            zeta, eta, _ = _prefix_sums(s, [m], first=m)[0]
             term = pow_neg(m, s)
-            assert zeta.value == term
-            assert eta.value == (term if m % 2 else -term)
+            assert _stream_sums(s, [m], m)[0].value == term
+            assert _stream_sums(s, [m], m, alternating=True)[0].value == (term if m % 2 else -term)
+        for _ in range(5):
+            s = complex(rng.uniform(-5.0, 5.0), t)
+            for m, (_, _, block) in enumerate(_prefix_sums(s, range(1, 301), blocks=True), 1):
+                assert block.value == pow_neg(m, s)
 
 
 class TestContracts:
